@@ -39,7 +39,6 @@ SECTIONS = (
     "fleet_bench",
     "obs_bench",
     "loadgen_bench",
-    "queue_bench",
 )
 
 

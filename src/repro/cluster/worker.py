@@ -100,7 +100,6 @@ class _EpochRun:
             validate=scenario.validate,
             trace=trace,
             start_time_us=float(payload["clock_us"]),
-            queue=scenario.queue,
         )
         # Continue the launch-id sequence across epochs: per-launch jitter is
         # keyed by launch id, so the epoch split must hand out the ids an

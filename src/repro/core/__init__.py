@@ -39,37 +39,6 @@ from repro.core.policies import (
     SchedulingPolicy,
 )
 
-#: Legacy factory re-exports that have moved to the component registries.
-#: Accessing them through ``repro.core`` still works but warns once; use
-#: ``repro.registry.POLICIES.create(...)`` / ``MECHANISMS.create(...)`` (or
-#: the factories in their defining modules) instead.
-_DEPRECATED_FACTORIES = ("make_policy", "make_mechanism")
-_deprecation_warned: set = set()
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_FACTORIES:
-        if name not in _deprecation_warned:
-            _deprecation_warned.add(name)
-            import warnings
-
-            warnings.warn(
-                f"importing {name!r} from repro.core is deprecated; look the "
-                "component up in repro.registry (POLICIES/MECHANISMS/"
-                "CONTROLLERS) or import the factory from its defining module",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if name == "make_policy":
-            from repro.core.policies import make_policy
-
-            return make_policy
-        from repro.core.preemption import make_mechanism
-
-        return make_mechanism
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ActiveQueue",
     "CommandBufferSet",
@@ -87,9 +56,6 @@ __all__ = [
     "StaticController",
     "HybridController",
     "AdaptiveController",
-    # make_policy / make_mechanism are deliberately NOT in __all__: they are
-    # deprecated re-exports served (with a one-time warning) by __getattr__,
-    # and a star-import must not trigger the warning.
     "SchedulingPolicy",
     "FCFSPolicy",
     "NonPreemptivePriorityPolicy",

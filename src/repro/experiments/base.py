@@ -53,12 +53,6 @@ class ExperimentConfig:
     #: Directory for per-scenario metrics JSONL series (``None`` keeps
     #: metric runs in-memory only).  Only used when ``metrics`` is enabled.
     metrics_dir: Optional[str] = None
-    #: Engine event-queue implementation for every simulated run (``None`` =
-    #: the engine default; see :data:`repro.registry.EVENT_QUEUES`).  Every
-    #: registered queue produces byte-identical results — the CLI's
-    #: ``--queue`` flag exists to force the heap oracle or benchmark a
-    #: specific implementation.
-    queue: Optional[str] = None
 
     def workload_scale(self) -> WorkloadScale:
         """The resolved workload scale preset."""

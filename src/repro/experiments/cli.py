@@ -46,7 +46,6 @@ from repro.experiments.base import ExperimentConfig, ExperimentResult
 from repro.registry import (
     ARRIVALS,
     CONTROLLERS,
-    EVENT_QUEUES,
     MECHANISMS,
     POLICIES,
     ROUTERS,
@@ -128,15 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=2014, help="workload generation seed")
     parser.add_argument(
-        "--queue",
-        default=None,
-        metavar="NAME",
-        help="engine event-queue implementation for every simulated run "
-        "(registry name, e.g. 'heap' or 'calendar'; default: the engine "
-        "default).  Every registered queue produces byte-identical results; "
-        "this flag forces the heap oracle or benchmarks an implementation",
-    )
-    parser.add_argument(
         "--validate",
         action="store_true",
         help="attach the runtime invariant-validation layer to every simulated "
@@ -217,14 +207,6 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.jobs < 0:
         raise ValueError("--jobs must be a non-negative integer (0 = all CPUs)")
     updates["jobs"] = args.jobs
-    queue = getattr(args, "queue", None)
-    if queue is not None:
-        if queue not in EVENT_QUEUES:
-            raise ValueError(
-                f"unknown --queue {queue!r}; registered: "
-                f"{', '.join(EVENT_QUEUES.names())}"
-            )
-        updates["queue"] = EVENT_QUEUES.canonical_name(queue)
     updates["validate"] = bool(getattr(args, "validate", False))
     updates["trace"] = bool(getattr(args, "trace", False))
     if updates["trace"]:
@@ -355,7 +337,6 @@ def format_listing() -> str:
         ("Arrival processes", ARRIVALS),
         ("Cluster routers", ROUTERS),
         ("Trace sources", TRACE_SOURCES),
-        ("Event queues", EVENT_QUEUES),
     ):
         lines.append("")
         lines.append(f"{title}:")

@@ -84,7 +84,6 @@ def collect(
                         scheme,
                         scale=config.scale,
                         validate=config.validate,
-                        queue=config.queue,
                         trace=config.trace,
                         metrics=config.metrics_spec(),
                     )

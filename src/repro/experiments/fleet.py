@@ -54,7 +54,6 @@ def fleet_scenario(
         workload_id=workload_id,
         scale=config.scale,
         validate=config.validate,
-        queue=config.queue,
         trace=config.trace,
         metrics=config.metrics_spec(),
         arrivals={

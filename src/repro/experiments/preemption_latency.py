@@ -65,7 +65,6 @@ def parboil_latency_scenarios(
                             scheme,
                             scale=config.scale,
                             validate=config.validate,
-                            queue=config.queue,
                             trace=True,
                         ),
                     )
@@ -103,7 +102,6 @@ def synthetic_latency_scenarios(
         seed=config.seed,
         scale=config.scale,
         validate=config.validate,
-        queue=config.queue,
         trace=True,
     )
     out: List[Tuple[str, ScenarioSpec]] = []

@@ -145,7 +145,6 @@ def collect(
                         scheme,
                         scale=config.scale,
                         validate=config.validate,
-                        queue=config.queue,
                         trace=config.trace,
                         metrics=config.metrics_spec(),
                     )

@@ -48,7 +48,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             num_sms,
             scale=config.scale,
             validate=config.validate,
-            queue=config.queue,
             trace=config.trace,
             metrics=config.metrics_spec(),
         )

@@ -69,7 +69,6 @@ def serving_scenario(
         scale=config.scale,
         config_overrides=config_overrides or {},
         validate=config.validate,
-        queue=config.queue,
         trace=config.trace,
         metrics=config.metrics_spec(),
         arrivals={

@@ -29,7 +29,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         seed=config.seed,
         scale=config.scale,
         validate=config.validate,
-        queue=config.queue,
         trace=config.trace,
         metrics=config.metrics_spec(),
     )

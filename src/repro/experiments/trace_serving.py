@@ -122,7 +122,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         compiled = dataclasses.replace(
             compiled,
             validate=config.validate,
-            queue=config.queue,
             trace=config.trace,
             metrics=config.metrics_spec(),
         )

@@ -21,9 +21,8 @@ builds a preemption request over ``resident()``, a per-block issue lands on
 the SM, or the kernel is about to finish — the run is materialised into the
 exact :class:`ThreadBlock` objects (and wave entries, in the exact event
 positions) the per-block path would have produced, and execution continues
-on the classic path.  ``tests/gpu/test_wave_equivalence.py`` and the
-queue-equivalence fuzz prove the whole construction byte-identical to the
-forced per-block engine.
+on the classic path.  ``tests/gpu/test_wave_equivalence.py`` proves the
+whole construction byte-identical to the forced per-block engine.
 """
 
 from __future__ import annotations

@@ -419,8 +419,8 @@ class StreamingMultiprocessor:
         sim = self._sim
         if batching:
             wave = self._wave_anchor.wave
-            # ``sim._seq - 1`` is Simulator.last_sequence, read directly on
-            # this hot path: equality with the anchor's seq proves nothing
+            # ``sim._seq - 1`` is the sequence number of the most recently
+            # scheduled event: equality with the anchor's seq proves nothing
             # was scheduled since the anchor event was created.
             if wave is not None and completes_at == wave.time and sim._seq - 1 == wave.seq:
                 event = wave.event

@@ -27,7 +27,7 @@ def attach_engine_metrics(hub: MetricsHub, simulator) -> None:
 
     def sample(now_us: float) -> None:
         pending.set(simulator.pending_events)
-        heap_entries.set(len(simulator.queue))
+        heap_entries.set(len(simulator._heap))
         peak_heap.set(simulator.peak_heap_entries)
         processed.set(simulator.events_processed)
         scheduled.set(simulator.events_scheduled)

@@ -1,7 +1,6 @@
 """Component registries for the pluggable parts of the simulated system.
 
-Six registries replace the old hard-coded ``make_policy`` /
-``make_mechanism`` string factories:
+Eight registries name the pluggable components:
 
 * :data:`POLICIES` — scheduling policies (``fcfs``, ``npq``, ``ppq``,
   ``ppq_shared``, ``dss``, ...),
@@ -16,10 +15,10 @@ Six registries replace the old hard-coded ``make_policy`` /
 * :data:`ROUTERS` — cluster request routers placing admitted requests on
   fleet member GPUs (``round_robin``, ``least_loaded``, ``tenant_affinity``,
   ``priority_spill``),
+* :data:`EXPORTERS` — metrics snapshot exporters (``jsonl``,
+  ``prometheus``, ``dashboard``),
 * :data:`TRACE_SOURCES` — workload-trace synthesizers for the trace-driven
-  load generator (``azure_faas``, ``pareto_burst``, ``lognormal_diurnal``),
-* :data:`EVENT_QUEUES` — simulation event-queue implementations backing the
-  engine's scheduling hot path (``heap``, ``calendar``).
+  load generator (``azure_faas``, ``pareto_burst``, ``lognormal_diurnal``).
 
 The built-in components register themselves with the
 :func:`register_policy` / :func:`register_mechanism` /
@@ -256,10 +255,6 @@ def _load_builtin_trace_sources() -> None:
     import repro.loadgen.synth  # noqa: F401
 
 
-def _load_builtin_event_queues() -> None:
-    import repro.sim.queues  # noqa: F401
-
-
 POLICIES = ComponentRegistry("scheduling policy", _load_builtin_policies)
 MECHANISMS = ComponentRegistry("preemption mechanism", _load_builtin_mechanisms)
 CONTROLLERS = ComponentRegistry("preemption controller", _load_builtin_controllers)
@@ -270,7 +265,6 @@ ARRIVALS = ComponentRegistry("arrival process", _load_builtin_arrivals)
 ROUTERS = ComponentRegistry("cluster router", _load_builtin_routers)
 EXPORTERS = ComponentRegistry("metrics exporter", _load_builtin_exporters)
 TRACE_SOURCES = ComponentRegistry("trace source", _load_builtin_trace_sources)
-EVENT_QUEUES = ComponentRegistry("event queue", _load_builtin_event_queues)
 
 
 def register_policy(name: str, *aliases: str, **kwargs):
@@ -313,11 +307,6 @@ def register_trace_source(name: str, *aliases: str, **kwargs):
     return TRACE_SOURCES.register(name, *aliases, **kwargs)
 
 
-def register_event_queue(name: str, *aliases: str, **kwargs):
-    """Register a simulation event-queue implementation (decorator)."""
-    return EVENT_QUEUES.register(name, *aliases, **kwargs)
-
-
 __all__ = [
     "ComponentRegistry",
     "RegistryEntry",
@@ -331,7 +320,6 @@ __all__ = [
     "ROUTERS",
     "EXPORTERS",
     "TRACE_SOURCES",
-    "EVENT_QUEUES",
     "register_policy",
     "register_mechanism",
     "register_controller",
@@ -340,5 +328,4 @@ __all__ = [
     "register_router",
     "register_exporter",
     "register_trace_source",
-    "register_event_queue",
 ]

@@ -314,12 +314,6 @@ class ScenarioSpec:
     #: never perturbs: run results are byte-identical with metrics on or
     #: off; snapshot series are exported as separate JSONL artifacts.
     metrics: Optional[Mapping[str, Any]] = None
-    #: Event-queue implementation for the simulation engine (``None`` = the
-    #: engine default).  A :data:`repro.registry.EVENT_QUEUES` name —
-    #: ``heap`` forces the classic binary-heap oracle, ``calendar`` the
-    #: tick-bucketed default.  Every registered queue produces byte-identical
-    #: results; the choice only affects wall-clock speed.
-    queue: Optional[str] = None
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -355,10 +349,6 @@ class ScenarioSpec:
                 object.__setattr__(self, "metrics", {})
             else:
                 object.__setattr__(self, "metrics", _canonicalize(dict(self.metrics)))
-        if self.queue is not None and (
-            not self.queue or not isinstance(self.queue, str)
-        ):
-            raise ValueError("queue must be None or a non-empty string")
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -446,10 +436,6 @@ class ScenarioSpec:
         # fixtures, archived payloads) stay byte-identical.
         if self.metrics is not None:
             payload["metrics"] = dict(self.metrics)
-        # Same contract for the event-queue override: omitted when the
-        # engine default is used, so archived payloads stay frozen.
-        if self.queue is not None:
-            payload["queue"] = self.queue
         return payload
 
     @classmethod

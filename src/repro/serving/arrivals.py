@@ -258,8 +258,7 @@ class ReplayArrivals(ArrivalProcess):
     run asks for arrivals; ``wrap=False`` halts the stream once the list is
     exhausted — every further gap is :data:`MAX_GAP_US`, pushing the next
     arrival past any finite horizon.  Compiled workload traces use
-    ``wrap=False`` so a trace's request count is exact.  ``cycle`` is the
-    original name of the same switch and remains accepted as an alias.
+    ``wrap=False`` so a trace's request count is exact.
     """
 
     name = "replay"
@@ -270,8 +269,7 @@ class ReplayArrivals(ArrivalProcess):
         seed: int = 0,
         mean_interarrival_us: float = 100.0,
         interarrival_us: Optional[Sequence[float]] = None,
-        wrap: Optional[bool] = None,
-        cycle: Optional[bool] = None,
+        wrap: bool = True,
     ):
         super().__init__(seed=seed, mean_interarrival_us=mean_interarrival_us)
         gaps: List[float] = [float(g) for g in (interarrival_us or [])]
@@ -280,17 +278,7 @@ class ReplayArrivals(ArrivalProcess):
         if any(g < 0 for g in gaps):
             raise ValueError("interarrival gaps must be non-negative")
         self.gaps = gaps
-        if wrap is not None and cycle is not None and bool(wrap) != bool(cycle):
-            raise ValueError(
-                "wrap and cycle are the same switch; pass one (or equal values)"
-            )
-        resolved = wrap if wrap is not None else cycle
-        self.wrap = True if resolved is None else bool(resolved)
-
-    @property
-    def cycle(self) -> bool:
-        """Legacy name of :attr:`wrap` (kept for pre-loadgen callers)."""
-        return self.wrap
+        self.wrap = bool(wrap)
 
     def _gap_us(self, index: int) -> float:
         if index >= len(self.gaps) and not self.wrap:

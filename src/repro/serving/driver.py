@@ -262,7 +262,6 @@ class ServingDriver:
             trace=scenario.trace,
             metrics=scenario.metrics,
             start_time_us=start_us,
-            queue=scenario.queue,
         )
         #: Observer target, kept in sync by ``GPUSystem._rewire_observers``.
         self.observer = None

@@ -8,15 +8,10 @@ primitives (:mod:`repro.sim.stats`).
 
 All timestamps in the simulator are expressed in **microseconds** as floats,
 matching the units the paper reports kernel and preemption latencies in.
-Internally every event also carries an integer nanosecond tick
-(:mod:`repro.sim.ticks`) exploited by the bucketing event queues
-(:mod:`repro.sim.queues`); floats stay authoritative at every API boundary.
 """
 
 from repro.sim.engine import Simulator, SimulationError
 from repro.sim.events import Event, EventHandle
-from repro.sim.queues import CalendarEventQueue, EventQueue, HeapEventQueue
-from repro.sim.ticks import TICKS_PER_US
 from repro.sim.stats import (
     Counter,
     RunningStats,
@@ -30,10 +25,6 @@ __all__ = [
     "SimulationError",
     "Event",
     "EventHandle",
-    "EventQueue",
-    "HeapEventQueue",
-    "CalendarEventQueue",
-    "TICKS_PER_US",
     "Counter",
     "RunningStats",
     "StatRegistry",

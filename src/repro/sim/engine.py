@@ -1,15 +1,12 @@
 """The discrete-event simulation engine.
 
-The engine is intentionally small: a time-ordered queue of events, a current
+The engine is intentionally small: a time-ordered heap of events, a current
 simulation time, and helpers to schedule, cancel and run.  Every hardware
 model in :mod:`repro.gpu`, :mod:`repro.memory` and :mod:`repro.host` is built
 as a set of callbacks scheduled on one shared :class:`Simulator` instance.
 
-Times are floats in **microseconds** at every public boundary
-(:attr:`Simulator.now`, observer hooks, metrics, checkpoints).  Internally
-each event also carries an integer nanosecond tick (:mod:`repro.sim.ticks`)
-— a derived, monotone coarse key that bucketing queues exploit; the float
-time stays authoritative, so the engine never rounds observable times.
+Times are floats in **microseconds**.  The engine never rounds times; the
+models themselves decide their own granularity.
 
 Hot-path design
 ---------------
@@ -17,31 +14,32 @@ Large-GPU scenarios (see :mod:`repro.workloads.large_gpu`) push hundreds of
 thousands of events through one simulator, so the schedule/run loop is built
 for throughput while keeping the observable contract bit-for-bit stable:
 
-* Event storage is a pluggable :class:`~repro.sim.queues.EventQueue`
-  (``Simulator(queue=...)``, resolved through
-  :data:`repro.registry.EVENT_QUEUES`).  Entries are ``(time, priority,
-  seq, event)`` tuples: ordering is C-level tuple comparison, and the unique
-  per-simulator ``seq`` guarantees comparisons never reach the
-  :class:`~repro.sim.events.Event` object (a plain ``__slots__`` class).
-  The default is the tick-bucketed calendar queue; ``queue="heap"`` forces
-  the classic binary heap, the byte-identity oracle.
+* The heap stores ``(time, priority, seq, event)`` tuples: ordering is
+  C-level tuple comparison, and the unique per-simulator ``seq`` guarantees
+  comparisons never reach the :class:`~repro.sim.events.Event` object (a
+  plain ``__slots__`` class).
 * :meth:`schedule_at` and the :meth:`run` loop take a no-observer fast path:
   the per-event observer fan-out costs one attribute check unless an
   observer (validation, telemetry) is actually attached.
-* Cancelled events are reclaimed lazily by the queue; when too many dead
-  entries accumulate (cancellation-heavy preemption scenarios) the queue
-  compacts in place so memory and pop cost stay bounded.
+* Cancelled events are discarded lazily when they reach the head of the
+  heap; when too many dead entries accumulate (cancellation-heavy preemption
+  scenarios), the heap is compacted in place so memory and pop cost stay
+  bounded.
 * :attr:`pending_events` is an exact O(1) live counter and
-  :attr:`peak_heap_entries` records the high-water mark of stored entries
+  :attr:`peak_heap_entries` records the high-water mark of the heap
   (``benchmarks/bench_scale.py`` reports it as the peak queue size).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Union
+import heapq
+from typing import Callable, Iterable, Optional
 
 from repro.sim.events import Event, EventHandle
-from repro.sim.queues import EventQueue, resolve_queue
+
+#: Compact the heap when it holds more than this many dead (cancelled)
+#: entries *and* they outnumber the live ones (see :meth:`Simulator._maybe_compact`).
+_COMPACTION_MIN_DEAD = 64
 
 
 class SimulationError(RuntimeError):
@@ -56,11 +54,6 @@ class Simulator:
     start_time:
         Initial simulation clock in microseconds (resumed serving segments
         continue the clock of the segment they were checkpointed from).
-    queue:
-        Event-queue implementation: a :data:`repro.registry.EVENT_QUEUES`
-        name, a ready :class:`~repro.sim.queues.EventQueue` instance, or
-        ``None`` for the default (``calendar``).  Every registered queue
-        yields the exact same event order; the choice only affects speed.
 
     Example
     -------
@@ -73,28 +66,29 @@ class Simulator:
     [1.0, 5.0]
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        queue: Union[str, EventQueue, None] = None,
-    ):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        #: The pluggable event store (see :mod:`repro.sim.queues`).
-        self.queue = resolve_queue(queue)
+        #: Heap of ``(time, priority, seq, event)`` tuples.
+        self._heap: list = []
         self._running = False
         self._stopped = False
         #: Per-simulator event sequence (tie-breaker; see events.py).
         self._seq = 0
-        #: Exact number of non-cancelled events in the queue; kept so that
+        #: Exact number of non-cancelled events in the heap; kept so that
         #: :attr:`pending_events` is O(1) (it is queried inside the validation
         #: layer's assertion loops).
         self._live_events = 0
+        #: Cancelled events still sitting in the heap (compaction trigger).
+        self._dead_entries = 0
         self._observers: list = []
         self.events_processed = 0
         self.events_scheduled = 0
         self.events_cancelled = 0
-        #: High-water mark of stored entries (live + dead), for benchmarks.
+        #: High-water mark of heap entries (live + dead), for benchmarks.
         self.peak_heap_entries = 0
+        #: Number of in-place heap compactions performed (see
+        #: :meth:`_maybe_compact`); surfaced by the metrics layer.
+        self.compactions = 0
         #: Optional :class:`repro.obs.MetricsHub` probe called once per fired
         #: event.  None-gated raw attribute (not an observer): with metrics
         #: off the hot loop pays one attribute load, and unlike observers it
@@ -111,11 +105,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in microseconds."""
         return self._now
-
-    @property
-    def queue_name(self) -> str:
-        """Registry name of the active event-queue implementation."""
-        return self.queue.name
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -155,13 +144,12 @@ class Simulator:
         self._seq = seq + 1
         event = Event(time, priority, seq, callback, label)
         event.on_cancelled = self._note_cancellation
-        queue = self.queue
-        queue.push((time, priority, seq, event))
+        heap = self._heap
+        heapq.heappush(heap, (time, priority, seq, event))
         self._live_events += 1
         self.events_scheduled += 1
-        entries = len(queue)
-        if entries > self.peak_heap_entries:
-            self.peak_heap_entries = entries
+        if len(heap) > self.peak_heap_entries:
+            self.peak_heap_entries = len(heap)
         if self._observers:
             for observer in self._observers:
                 observer.on_event_scheduled(event, self._now)
@@ -175,7 +163,26 @@ class Simulator:
         """Cancellation bookkeeping (fires once per cancelled live event)."""
         self._live_events -= 1
         self.events_cancelled += 1
-        self.queue.note_cancelled()
+        self._dead_entries += 1
+        if self._dead_entries > _COMPACTION_MIN_DEAD:
+            self._maybe_compact()
+
+    def _maybe_compact(self) -> None:
+        """Drop dead heap entries once they outnumber the live ones.
+
+        Cancellation-heavy scenarios (context-switch preemption cancels one
+        completion event per evicted wave) would otherwise grow the heap with
+        entries that are only discarded when popped.  Compaction rewrites the
+        heap *in place* (slice assignment) so aliases held by a running
+        :meth:`run` loop stay valid.
+        """
+        heap = self._heap
+        if self._dead_entries * 2 <= len(heap):
+            return
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapq.heapify(heap)
+        self._dead_entries = 0
+        self.compactions += 1
 
     # ------------------------------------------------------------------
     # Observers
@@ -202,9 +209,9 @@ class Simulator:
         """Advance the clock to ``entry`` and run its callback."""
         event = entry[3]
         previous_now = self._now
-        # The event left the queue: late cancels must not touch the count,
-        # and ``fired`` must flip *before* the callback runs (wave joining
-        # relies on a firing event no longer reading as pending).
+        # The event left the heap: late cancels must not touch the count, and
+        # ``fired`` must flip *before* the callback runs (wave joining relies
+        # on a firing event no longer reading as pending).
         event.fired = True
         event.on_cancelled = None
         self._live_events -= 1
@@ -228,13 +235,17 @@ class Simulator:
         Returns ``True`` if an event was processed, ``False`` if the event
         queue is empty (cancelled events are discarded transparently).
         """
-        entry = self.queue.pop()
-        if entry is None:
-            return False
-        if entry[0] < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event queue yielded an event from the past")
-        self._fire(entry)
-        return True
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            if entry[3].cancelled:
+                self._dead_entries -= 1
+                continue
+            if entry[0] < self._now:  # pragma: no cover - defensive
+                raise SimulationError("event heap yielded an event from the past")
+            self._fire(entry)
+            return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the event queue drains, ``until`` is reached, or stopped.
@@ -251,29 +262,30 @@ class Simulator:
         max_events:
             Optional safety bound on the number of events to process; mostly
             useful in tests to catch livelocks.  Raises while the offending
-            event is still queued.
+            event is still queued; an empty (or out-of-bound) queue at the
+            bound is a normal exit.
         """
         self._running = True
         self._stopped = False
         processed = 0
-        pop = self.queue.pop
+        heap = self._heap  # stable alias: compaction rewrites in place
+        heappop = heapq.heappop
         try:
-            while not self._stopped:
+            while heap and not self._stopped:
+                entry = heap[0]
+                if entry[3].cancelled:
+                    heappop(heap)
+                    self._dead_entries -= 1
+                    continue
+                if until is not None and entry[0] > until:
+                    break
                 if max_events is not None and processed >= max_events:
-                    # Only a live event at/before ``until`` counts as the
-                    # bound being exceeded; an empty (or out-of-bound) queue
-                    # is a normal exit.
-                    next_time = self.peek_time()
-                    if next_time is None or (until is not None and next_time > until):
-                        break
                     raise SimulationError(
                         f"simulation exceeded max_events={max_events}; possible livelock"
                     )
-                entry = pop(until)
-                if entry is None:
-                    break
+                heappop(heap)
                 if entry[0] < self._now:  # pragma: no cover - defensive
-                    raise SimulationError("event queue yielded an event from the past")
+                    raise SimulationError("event heap yielded an event from the past")
                 self._fire(entry)
                 processed += 1
             # One consistent clamp for every exit path (drained, reached
@@ -297,52 +309,24 @@ class Simulator:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without popping it."""
-        entry = self.queue.peek()
-        return entry[3] if entry is not None else None
-
-    @property
-    def _heap(self) -> list:
-        """Snapshot of stored queue entries (tests/debugging compatibility).
-
-        The engine no longer owns a literal heap; this materialises the
-        active queue's entries (including dead ones awaiting reclaim) in
-        whatever internal order the queue keeps them.  Hot paths use
-        ``len(self.queue)`` instead.
-        """
-        return self.queue.entries()
-
     @property
     def pending_events(self) -> int:
         """Number of non-cancelled events still queued (O(1))."""
         return self._live_events
 
-    @property
-    def compactions(self) -> int:
-        """Dead-entry compactions performed by the active queue."""
-        return self.queue.compactions
-
-    @property
-    def last_sequence(self) -> int:
-        """Sequence number of the most recently scheduled event (-1 if none).
-
-        Introspection form of the sequence-contiguity signal the SM's wave
-        joining relies on ("nothing was scheduled since event X") — the join
-        hot path itself reads ``sim._seq`` directly
-        (:meth:`repro.gpu.sm.StreamingMultiprocessor._schedule_completion`),
-        so keep this definition in sync with :attr:`_seq`.
-        """
-        return self._seq - 1
-
     def pending_labels(self) -> Iterable[str]:
-        """Labels of pending events (debugging aid for tests)."""
-        return [entry[3].label for entry in self.queue.sorted_entries()]
+        """Labels of pending events in fire order (debugging aid for tests)."""
+        return [
+            entry[3].label for entry in sorted(self._heap) if not entry[3].cancelled
+        ]
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
-        entry = self.queue.peek()
-        return entry[0] if entry is not None else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+            self._dead_entries -= 1
+        return heap[0][0] if heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

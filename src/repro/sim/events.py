@@ -13,24 +13,14 @@ event per thread-block *wave* (see :mod:`repro.gpu.sm`) and still push
 hundreds of thousands of them through the heap.  :class:`Event` is therefore
 a plain ``__slots__`` class (no per-instance ``__dict__``, no dataclass
 machinery in ``__init__``), and the :class:`~repro.sim.engine.Simulator`
-stores ``(time, priority, seq, event)`` tuples on its heap so ordering uses
-C-level tuple comparison instead of Python ``__lt__`` calls.  ``seq`` is
-unique per simulator, so comparisons never reach the event object itself.
+stores ``(time, priority, seq, event)`` tuples on its heap so ordering is
+C-level tuple comparison.  ``seq`` is unique per simulator, so comparisons
+never reach the event object, which defines no ordering of its own.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Optional
-
-from repro.sim.ticks import TICKS_PER_US
-
-#: Monotonically increasing sequence shared by every event created through
-#: :func:`make_event`.  The :class:`~repro.sim.engine.Simulator` keeps its own
-#: per-instance counter (cheaper, and ordering only matters within one
-#: simulator); the global sequence exists for events built directly by tests
-#: and tools.
-_EVENT_SEQUENCE = itertools.count()
+from typing import Callable, Optional
 
 
 class Event:
@@ -48,11 +38,6 @@ class Event:
     seq:
         Monotonic sequence number assigned at scheduling time; the final
         tie-breaker, which makes event ordering fully deterministic.
-    ticks:
-        ``time`` rounded to integer nanosecond ticks
-        (:data:`repro.sim.ticks.TICKS_PER_US`).  A derived, monotone coarse
-        key used by bucketing event queues; :attr:`time` stays the
-        authoritative float-µs timestamp at every API boundary.
     callback:
         Zero-argument callable invoked when the event fires.
     cancelled:
@@ -66,7 +51,6 @@ class Event:
 
     __slots__ = (
         "time",
-        "ticks",
         "priority",
         "seq",
         "callback",
@@ -87,7 +71,6 @@ class Event:
         on_cancelled: Optional[Callable[[], None]] = None,
     ):
         self.time = time
-        self.ticks = round(time * TICKS_PER_US)
         self.priority = priority
         self.seq = seq
         self.callback = callback
@@ -106,23 +89,6 @@ class Event:
         if self.on_cancelled is not None:
             notify, self.on_cancelled = self.on_cancelled, None
             notify()
-
-    # Ordering is kept for direct users (the simulator compares heap tuples,
-    # never events).
-    def _key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Event") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Event") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Event") -> bool:
-        return self._key() >= other._key()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -175,27 +141,3 @@ class EventHandle:
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time:.3f}, {state}, label={self.label!r})"
 
-
-def next_sequence() -> int:
-    """Return the next global event sequence number."""
-    return next(_EVENT_SEQUENCE)
-
-
-def make_event(
-    time: float,
-    callback: Callable[[], None],
-    *,
-    priority: int = 0,
-    label: str = "",
-) -> Event:
-    """Create an :class:`Event` with the next global sequence number."""
-    return Event(time, priority, next_sequence(), callback, label)
-
-
-def callback_with_args(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Callable[[], None]:
-    """Bind ``fn(*args, **kwargs)`` into a zero-argument event callback."""
-
-    def _bound() -> None:
-        fn(*args, **kwargs)
-
-    return _bound

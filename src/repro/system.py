@@ -56,14 +56,11 @@ class GPUSystem:
         trace: bool = False,
         metrics=None,
         start_time_us: float = 0.0,
-        queue: Optional[str] = None,
     ):
         self.config = config if config is not None else SystemConfig()
         #: ``start_time_us`` lets a resumed serving segment continue the
         #: simulated clock of the segment it was checkpointed from.
-        #: ``queue`` picks the engine's event-queue implementation
-        #: (:data:`repro.registry.EVENT_QUEUES`; ``None`` = engine default).
-        self.simulator = Simulator(start_time=start_time_us, queue=queue)
+        self.simulator = Simulator(start_time=start_time_us)
 
         if isinstance(policy, str):
             policy = make_policy(policy, **(policy_options or {}))
@@ -271,7 +268,6 @@ class GPUSystem:
             validate=scenario.validate,
             trace=scenario.trace,
             metrics=scenario.metrics,
-            queue=scenario.queue,
         )
         for slot, (app, process_name) in enumerate(
             zip(scenario.applications, scenario.process_names())

@@ -90,7 +90,6 @@ def generate_large_gpu_scenario(
     trace: bool = False,
     metrics: Optional[dict] = None,
     wave_batching: bool = True,
-    queue: Optional[str] = None,
 ) -> ScenarioSpec:
     """One ``large_gpu`` scenario for a GPU with ``num_sms`` SMs.
 
@@ -115,7 +114,6 @@ def generate_large_gpu_scenario(
         validate=validate,
         trace=trace,
         metrics=metrics,
-        queue=queue,
         scheme=scheme,
         min_processes=processes,
         max_processes=processes,
@@ -136,7 +134,6 @@ def generate_large_gpu_scenarios(
     trace: bool = False,
     metrics: Optional[dict] = None,
     wave_batching: bool = True,
-    queue: Optional[str] = None,
 ) -> Tuple[ScenarioSpec, ...]:
     """The scaling sweep: one scenario per SM count, smallest first."""
     if not sm_counts:
@@ -151,7 +148,6 @@ def generate_large_gpu_scenarios(
             trace=trace,
             metrics=metrics,
             wave_batching=wave_batching,
-            queue=queue,
         )
         for num_sms in sorted(sm_counts)
     )

@@ -451,7 +451,6 @@ def generate_synthetic_scenario(
     cluster: bool = False,
     trace_driven: bool = False,
     metrics: Optional[dict] = None,
-    queue: Optional[str] = None,
 ) -> ScenarioSpec:
     """Derive one complete multiprogram scenario from an integer seed.
 
@@ -519,7 +518,6 @@ def generate_synthetic_scenario(
         slo=slo,
         cluster=cluster_section,
         metrics=metrics,
-        queue=queue,
     )
 
 
@@ -535,7 +533,6 @@ def generate_synthetic_scenarios(
     max_processes: int = 5,
     open_loop: bool = False,
     metrics: Optional[dict] = None,
-    queue: Optional[str] = None,
 ) -> List[ScenarioSpec]:
     """Derive ``count`` scenarios from consecutive sub-seeds of ``seed``.
 
@@ -555,7 +552,6 @@ def generate_synthetic_scenarios(
             min_processes=min_processes,
             max_processes=max_processes,
             open_loop=open_loop,
-            queue=queue,
             metrics=metrics,
         )
         for i in range(count)

@@ -165,6 +165,12 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown workload scale"):
             self.scenario(scale="enormous").workload_scale()
 
+    def test_payload_with_removed_queue_key_is_rejected(self):
+        payload = self.scenario().to_dict()
+        payload["queue"] = "heap"
+        with pytest.raises(ValueError, match=r"unknown ScenarioSpec keys: \['queue'\]"):
+            ScenarioSpec.from_dict(payload)
+
     def test_derived_quantities(self):
         spec = self.scenario()
         assert spec.num_processes == 2

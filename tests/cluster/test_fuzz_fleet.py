@@ -6,7 +6,7 @@ arrival draws.  Every scenario runs with validation attached and must record
 zero violations, and the fleet summary must be byte-identical whether the
 epoch batches execute serially or across a
 :class:`~repro.runner.BatchRunner` process pool — the cluster layer's core
-guarantee.
+guarantee — and whether validation is attached or not.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from repro.workloads.synthetic import CLUSTER_ROUTERS, generate_synthetic_scenar
 FUZZ_SEEDS = list(range(25))
 
 
-def _fuzz_scenario(seed: int):
+def _fuzz_scenario(seed: int, validate: bool = True):
     return generate_synthetic_scenario(
         seed,
         scale="smoke",
-        validate=True,
+        validate=validate,
         max_processes=4,
         cluster=True,
     )
@@ -74,6 +74,14 @@ def test_fuzzed_fleets_record_no_violations(serial_outcomes):
     for seed, outcome in serial_outcomes.items():
         assert outcome.validated, f"seed {seed}"
         assert outcome.violations == [], f"seed {seed}"
+
+
+def test_validation_never_perturbs_fleet_runs(serial_outcomes):
+    for seed, validated in serial_outcomes.items():
+        plain = run_fleet(_fuzz_scenario(seed, validate=False))
+        assert not plain.validated, f"seed {seed}"
+        assert _summary_json(plain) == _summary_json(validated), f"seed {seed}"
+        assert plain.events_processed == validated.events_processed, f"seed {seed}"
 
 
 def test_sharded_fleets_are_byte_identical_to_serial(serial_outcomes):

@@ -331,40 +331,3 @@ class TestEngineRouting:
         assert snapshot.get("preemptions_via.context_switch", 0) > 0
         assert "preemptions_via.draining" not in snapshot
 
-
-class TestDeprecatedCoreReExports:
-    def test_make_policy_and_make_mechanism_warn_once_but_work(self):
-        import importlib
-
-        import repro.core as core
-
-        core._deprecation_warned.clear()
-        with pytest.warns(DeprecationWarning, match="repro.core is deprecated"):
-            factory = core.make_policy
-        assert factory("fcfs").name == "fcfs"
-        with pytest.warns(DeprecationWarning):
-            mechanism_factory = core.make_mechanism
-        assert mechanism_factory("draining").name == "draining"
-        # Second access: no further warning (single warning per factory).
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert core.make_policy is factory
-            assert core.make_mechanism is mechanism_factory
-        with pytest.raises(AttributeError):
-            core.no_such_factory
-        importlib.import_module("repro.core.policies").make_policy  # still canonical
-
-    def test_star_import_does_not_touch_the_deprecated_factories(self):
-        import warnings
-
-        import repro.core as core
-
-        core._deprecation_warned.clear()
-        assert "make_policy" not in core.__all__
-        assert "make_mechanism" not in core.__all__
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            exec("from repro.core import *", {})
-        assert not core._deprecation_warned

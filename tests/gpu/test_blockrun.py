@@ -1,8 +1,8 @@
 """The vectorised BlockRun issue path: engagement and span fidelity.
 
-Byte-identity of the run representation is proven by the wave- and
-queue-equivalence fuzzes (both engines produce identical artifacts with it
-on); these tests pin the other half — that the fast path actually
+Byte-identity of the run representation is proven by the wave-equivalence
+fuzz (the batched and forced per-block engines produce identical artifacts
+with it on); these tests pin the other half — that the fast path actually
 *engages* on the workloads built for it (jitter-free large_gpu refills)
 and stays off whenever an observer needs real per-block state, and that a
 materialised span recreates exactly the blocks the per-block path makes.

@@ -9,7 +9,8 @@ mechanism × preemption controller combination, with jitter disabled so waves
 actually form — once wave-batched and once with the exact per-block path
 forced, and asserts byte-identical run artifacts: per-process timings,
 multiprogram metrics, engine statistics, invariant-validation verdicts and
-exported Chrome traces.
+exported Chrome traces.  Open-loop serving runs, multi-GPU fleet runs and
+serving checkpoints are compared the same way on a few fuzz seeds.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ def _scheme_for_seed(seed: int) -> SchemeSpec:
     )
 
 
-def _fuzz_scenario(seed: int, *, wave_batching: bool, validate: bool) -> ScenarioSpec:
+def _fuzz_scenario(
+    seed: int, *, wave_batching: bool, validate: bool, **kwargs
+) -> ScenarioSpec:
     overrides = {"tb_time_cv": 0.0}
     if not wave_batching:
         overrides["gpu"] = {"wave_batching": False}
@@ -66,6 +69,7 @@ def _fuzz_scenario(seed: int, *, wave_batching: bool, validate: bool) -> Scenari
         scheme=_scheme_for_seed(seed),
         max_processes=4,
         config_overrides=overrides,
+        **kwargs,
     )
 
 
@@ -87,6 +91,16 @@ def _artifacts(record) -> dict:
         "violations": payload["violations"],
         "trace": payload["trace"],
     }
+
+
+def _serving_artifacts(record) -> str:
+    """Canonical JSON of a serving or fleet record, minus its event counts."""
+    payload = _artifacts(record)
+    summary = json.loads(json.dumps(record.to_dict()["serving"]))
+    for gpu in summary.get("per_gpu", ()):
+        gpu.pop("events_processed")
+    payload["serving"] = summary
+    return json.dumps(payload, sort_keys=True)
 
 
 def test_fuzz_covers_every_policy_mechanism_controller_combination():
@@ -155,3 +169,58 @@ def test_wave_batching_reduces_heap_events_on_regular_grids():
         exact.result.events_processed, exact.result.engine_stats
     )
     assert eq_waved == eq_exact
+
+
+@pytest.mark.parametrize("seed", [1, 13, 27, 42])
+def test_wave_batching_preserves_serving_runs(seed):
+    """Open-loop serving scenarios (arrivals/admission/SLO) match exactly."""
+    waved = execute_scenario(
+        _fuzz_scenario(seed, wave_batching=True, validate=False, open_loop=True)
+    )
+    exact = execute_scenario(
+        _fuzz_scenario(seed, wave_batching=False, validate=False, open_loop=True)
+    )
+    assert waved.result.events_processed < exact.result.events_processed
+    assert _serving_artifacts(waved) == _serving_artifacts(exact), (
+        f"serving seed {seed} diverged"
+    )
+
+
+@pytest.mark.parametrize("seed", [5, 18])
+def test_wave_batching_preserves_fleet_runs(seed):
+    """Multi-GPU fleet scenarios (routed epochs) match exactly."""
+    waved = execute_scenario(
+        _fuzz_scenario(seed, wave_batching=True, validate=False, cluster=True)
+    )
+    exact = execute_scenario(
+        _fuzz_scenario(seed, wave_batching=False, validate=False, cluster=True)
+    )
+    assert waved.result.events_processed < exact.result.events_processed
+    assert _serving_artifacts(waved) == _serving_artifacts(exact), (
+        f"fleet seed {seed} diverged"
+    )
+
+
+def test_wave_batching_preserves_serving_checkpoints():
+    """Quiesce checkpoints (the serving resume contract) match exactly."""
+    from repro.serving.driver import run_serving
+
+    outcomes = {}
+    for wave_batching in (True, False):
+        spec = _fuzz_scenario(
+            3, wave_batching=wave_batching, validate=False, open_loop=True
+        )
+        horizon = float(spec.arrivals["horizon_us"])
+        outcome = run_serving(spec, checkpoint_at=[horizon / 2])
+        assert outcome.segments == 2
+        outcomes[wave_batching] = outcome
+    waved, exact = outcomes[True], outcomes[False]
+    assert waved.events_processed < exact.events_processed
+    assert json.dumps(waved.summary, sort_keys=True) == json.dumps(
+        exact.summary, sort_keys=True
+    )
+    waved_checkpoint = dict(waved.checkpoint, events_processed=None)
+    exact_checkpoint = dict(exact.checkpoint, events_processed=None)
+    assert json.dumps(waved_checkpoint, sort_keys=True) == json.dumps(
+        exact_checkpoint, sort_keys=True
+    )

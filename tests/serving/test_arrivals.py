@@ -111,7 +111,7 @@ def test_replay_cycles_through_the_gap_list():
 
 
 def test_replay_without_cycling_pushes_past_any_horizon():
-    proc = ReplayArrivals(interarrival_us=[1.0, 2.0], cycle=False)
+    proc = ReplayArrivals(interarrival_us=[1.0, 2.0], wrap=False)
     assert proc.next_gap_us() == 1.0
     assert proc.next_gap_us() == 2.0
     assert proc.next_gap_us() == MAX_GAP_US
@@ -129,7 +129,6 @@ def test_replay_default_is_wrapping():
     # loadgen's wrap rename must not change that.
     proc = ReplayArrivals(interarrival_us=[1.0, 2.0])
     assert proc.wrap is True
-    assert proc.cycle is True  # legacy spelling reads the same switch
     assert [proc.next_gap_us() for _ in range(5)] == [1.0, 2.0, 1.0, 2.0, 1.0]
 
 
@@ -139,11 +138,9 @@ def test_replay_wrap_false_halts_on_exhaustion():
     assert proc.next_gap_us() == MAX_GAP_US  # stays exhausted
 
 
-def test_replay_wrap_and_cycle_are_the_same_switch():
-    assert ReplayArrivals(interarrival_us=[1.0], cycle=False).wrap is False
-    assert ReplayArrivals(interarrival_us=[1.0], wrap=False, cycle=False).wrap is False
-    with pytest.raises(ValueError, match="same switch"):
-        ReplayArrivals(interarrival_us=[1.0], wrap=True, cycle=False)
+def test_replay_section_with_removed_cycle_key_fails_clearly():
+    with pytest.raises(TypeError, match="unexpected keyword argument 'cycle'"):
+        make_arrival_process("replay", interarrival_us=[1.0], cycle=False)
 
 
 def test_replay_wrap_state_round_trips():

@@ -40,6 +40,27 @@ def test_priority_breaks_ties_before_scheduling_order(simulator):
     assert fired == ["early", "late"]
 
 
+def test_same_instant_out_of_priority_insertion_order(simulator):
+    """Same-instant events scheduled out of priority order still fire sorted."""
+    fired = []
+    for priority in (5, 1, 3, 0, 4, 2):
+        simulator.schedule(1.0, lambda p=priority: fired.append(p), priority=priority)
+    simulator.run()
+    assert fired == [0, 1, 2, 3, 4, 5]
+
+
+def test_sub_nanosecond_times_keep_float_order(simulator):
+    """Floats under 1 ns apart are distinct times and fire in float order."""
+    fired = []
+    base = 1.0
+    eps = 2e-7  # well below a nanosecond, still distinct as floats
+    simulator.schedule(base + eps, lambda: fired.append("b"))
+    simulator.schedule(base, lambda: fired.append("a"))
+    simulator.schedule(base + 2 * eps, lambda: fired.append("c"))
+    simulator.run()
+    assert fired == ["a", "b", "c"]
+
+
 def test_zero_delay_event_runs_after_current_event(simulator):
     order = []
 
@@ -92,6 +113,26 @@ def test_run_until_leaves_future_events_pending(simulator):
     assert fired == [1, 2]
 
 
+def test_run_until_clamps_past_cancelled_head(simulator):
+    """A cancelled head beyond ``until`` is discarded, and now clamps to until."""
+    doomed = simulator.schedule(10.0, lambda: None)
+    simulator.schedule(20.0, lambda: None)
+    doomed.cancel()
+    simulator.run(until=15.0)
+    assert simulator.now == 15.0
+    assert simulator.pending_events == 1
+    assert simulator.peek_time() == 20.0
+
+
+def test_run_until_clamps_when_only_cancelled_heads_remain(simulator):
+    for handle in [simulator.schedule(10.0, lambda: None) for _ in range(4)]:
+        handle.cancel()
+    simulator.run(until=3.0)
+    assert simulator.now == 3.0
+    assert simulator.pending_events == 0
+    assert simulator.peek_time() is None
+
+
 def test_run_until_advances_clock_even_with_empty_queue(simulator):
     simulator.run(until=42.0)
     assert simulator.now == 42.0
@@ -142,10 +183,33 @@ def test_peek_time_skips_cancelled_events(simulator):
     assert simulator.peek_time() == 2.0
 
 
+def test_fully_cancelled_same_instant_head_is_invisible_to_peek(simulator):
+    """Cancel every event at the head instant; peek must skip them all."""
+    doomed = [simulator.schedule(1.0, lambda: None) for _ in range(8)]
+    simulator.schedule(5.0, lambda: None)
+    for handle in doomed:
+        handle.cancel()
+    assert simulator.peek_time() == 5.0
+    assert simulator.pending_events == 1
+    fired = []
+    simulator.schedule(5.0, lambda: fired.append(True))
+    simulator.run()
+    assert fired == [True]
+    assert simulator.now == 5.0
+
+
 def test_pending_labels(simulator):
     simulator.schedule(2.0, lambda: None, label="second")
     simulator.schedule(1.0, lambda: None, label="first")
     assert list(simulator.pending_labels()) == ["first", "second"]
+
+
+def test_pending_labels_skip_cancelled_events(simulator):
+    simulator.schedule(3.0, lambda: None, label="c")
+    simulator.schedule(1.0, lambda: None, label="a")
+    dead = simulator.schedule(2.0, lambda: None, label="b")
+    dead.cancel()
+    assert simulator.pending_labels() == ["a", "c"]
 
 
 def test_run_until_clamps_clock_when_stopped(simulator):
@@ -280,15 +344,6 @@ def test_peak_heap_entries_tracks_high_water_mark(simulator):
     assert simulator.peak_heap_entries == 5
 
 
-def test_last_sequence_advances_with_each_schedule(simulator):
-    assert simulator.last_sequence == -1
-    first = simulator.schedule(1.0, lambda: None)
-    assert simulator.last_sequence == first.seq
-    second = simulator.schedule(2.0, lambda: None)
-    assert second.seq == first.seq + 1
-    assert simulator.last_sequence == second.seq
-
-
 def test_handle_pending_reflects_lifecycle(simulator):
     fired = simulator.schedule(1.0, lambda: None)
     cancelled = simulator.schedule(2.0, lambda: None)
@@ -327,3 +382,37 @@ def test_compaction_preserves_firing_order():
     simulator.run()
     assert fired == [0, 1, 2, 3, 4]
     assert keep[0].cancelled is False
+
+
+def test_compaction_counter_and_size_accounting():
+    simulator = Simulator()
+    keep = simulator.schedule(1000.0, lambda: None)
+    doomed = [simulator.schedule(float(i % 13) + 1.0, lambda: None) for i in range(400)]
+    for handle in doomed:
+        handle.cancel()
+    assert simulator.compactions >= 1
+    # Compaction dropped the dead entries without waiting for pops.
+    assert simulator.pending_events == 1
+    assert len(simulator._heap) < 100
+    fired = []
+    simulator.schedule(1.0, lambda: fired.append(True))
+    simulator.run()
+    assert fired == [True]
+    assert not keep.pending and not keep.cancelled
+    assert simulator.events_cancelled == 400
+    assert len(simulator._heap) == 0
+
+
+def test_compaction_preserves_order_across_instants():
+    simulator = Simulator()
+    fired = []
+    for i in range(6):
+        simulator.schedule(10.0 + i, lambda i=i: fired.append(i))
+    doomed = [
+        simulator.schedule(5.0 + (i % 3), lambda: fired.append("no")) for i in range(300)
+    ]
+    for handle in doomed:
+        handle.cancel()
+    assert simulator.compactions >= 1
+    simulator.run()
+    assert fired == [0, 1, 2, 3, 4, 5]

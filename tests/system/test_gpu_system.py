@@ -29,6 +29,10 @@ class TestConstruction:
         assert system.policy.name == "fcfs"
         assert system.mechanism.name == "draining"
 
+    def test_removed_queue_option_is_rejected(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'queue'"):
+            GPUSystem(policy="fcfs", queue="heap")
+
     def test_policy_options_only_with_names(self):
         with pytest.raises(ValueError):
             GPUSystem(policy=FCFSPolicy(), policy_options={"x": 1})

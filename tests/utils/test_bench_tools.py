@@ -130,20 +130,20 @@ class TestCompareBench:
         with pytest.raises(ValueError):
             compare_bench.load_results(str(path))
 
-    def test_queue_bench_section_is_gated(self, compare_bench, tmp_path):
-        path = tmp_path / "queues.json"
+    def test_loadgen_bench_section_is_gated(self, compare_bench, tmp_path):
+        path = tmp_path / "loadgen.json"
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(
                 {
-                    "queue_bench": {
+                    "loadgen_bench": {
                         "schema": 1,
-                        "results": {"queue_calendar": {"events_per_sec": 7}},
+                        "results": {"loadgen_replay": {"events_per_sec": 7}},
                     }
                 },
                 handle,
             )
         assert compare_bench.load_results(str(path)) == {
-            "queue_calendar": {"events_per_sec": 7}
+            "loadgen_replay": {"events_per_sec": 7}
         }
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.runner import execute_scenario
 from repro.scenario import ScenarioSpec, SchemeSpec
-from repro.sim.events import make_event
+from repro.sim.events import Event
 from repro.system import GPUSystem
 from repro.trace.generator import TraceGenerator
 from repro.validation import (
@@ -243,10 +243,10 @@ class TestCorruptedCheckers:
 class TestIndividualCheckers:
     def test_event_order_checker_detects_past_events(self):
         checker = EventOrderChecker()
-        event = make_event(1.0, lambda: None, label="t1")
+        event = Event(1.0, 0, 0, lambda: None, label="t1")
         checker.on_event_scheduled(event, now=5.0)
         checker.on_event_fired(event, previous_now=5.0)
-        later = make_event(0.5, lambda: None, label="t0.5")
+        later = Event(0.5, 0, 1, lambda: None, label="t0.5")
         checker.on_event_fired(later, previous_now=0.0)
         invariants = [v.invariant for v in checker.violations]
         assert "scheduled_in_the_past" in invariants

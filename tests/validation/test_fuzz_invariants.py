@@ -4,10 +4,14 @@ A seeded loop over 50 generated scenarios, spread across every scheduling
 policy × preemption mechanism × preemption controller combination, runs each
 scenario with the full invariant-validation layer attached and asserts zero
 violations — plus the fuzzer's reproducibility contract: the same seed
-always yields byte-identical ScenarioSpec JSON.
+always yields byte-identical ScenarioSpec JSON — and the validation layer's
+own contract: its observers never perturb the run, so every scenario's
+record is byte-identical with validation on and off.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -70,6 +74,19 @@ def test_generated_scenario_passes_every_invariant_checker(seed):
     assert record.ok, (
         f"seed {seed} ({record.scenario.describe()}) violated invariants: "
         f"{record.violations}"
+    )
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_validation_never_perturbs_the_run(seed):
+    def run_artifacts(validate):
+        payload = execute_scenario(_fuzz_scenario(seed, validate=validate)).to_dict()
+        for key in ("scenario", "validated", "violations"):
+            payload.pop(key)
+        return json.dumps(payload, sort_keys=True)
+
+    assert run_artifacts(True) == run_artifacts(False), (
+        f"seed {seed}: validated run diverged from the plain run"
     )
 
 

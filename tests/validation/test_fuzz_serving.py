@@ -5,14 +5,17 @@ arrival/SLO sections (process kind, rate, burstiness, admission policy,
 inflight bound) to the usual seed-derived multiprogram shapes.  Every
 scenario runs with the invariant-validation layer attached and must record
 zero violations; the whole batch must be byte-identical whether executed
-serially or across worker processes.
+serially or across worker processes, and each run must be byte-identical to
+its unvalidated twin.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.runner import BatchRunner
+from repro.runner import BatchRunner, execute_scenario
 from repro.workloads.synthetic import (
     ARRIVAL_ADMISSIONS,
     ARRIVAL_KINDS,
@@ -22,11 +25,11 @@ from repro.workloads.synthetic import (
 FUZZ_SEEDS = list(range(50))
 
 
-def _fuzz_scenario(seed: int):
+def _fuzz_scenario(seed: int, validate: bool = True):
     return generate_synthetic_scenario(
         seed,
         scale="smoke",
-        validate=True,
+        validate=validate,
         max_processes=4,
         open_loop=True,
     )
@@ -78,6 +81,21 @@ def test_every_open_loop_scenario_passes_every_invariant_checker(serial_records)
         queue = summary["queue"]
         assert queue["arrived"] == queue["admitted"] + queue["dropped"]
         assert summary["completed"] == queue["admitted"]
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_validation_never_perturbs_open_loop_runs(seed, serial_records):
+    def run_artifacts(record):
+        payload = record.to_dict()
+        for key in ("scenario", "validated", "violations"):
+            payload.pop(key)
+        return json.dumps(payload, sort_keys=True)
+
+    validated = serial_records[FUZZ_SEEDS.index(seed)]
+    plain = execute_scenario(_fuzz_scenario(seed, validate=False))
+    assert run_artifacts(validated) == run_artifacts(plain), (
+        f"seed {seed}: validated serving run diverged from the plain run"
+    )
 
 
 def test_parallel_batch_is_byte_identical_to_serial(serial_records):
