@@ -38,7 +38,6 @@ from repro.core.preemption.controller import (
 from repro.gpu.command_queue import Command, KernelCommand
 from repro.gpu.config import SystemConfig
 from repro.gpu.context import ContextTable, GPUContext
-from repro.gpu.kernel import KernelLaunch
 from repro.gpu.resources import OccupancyCalculator
 from repro.gpu.sm import SMState, StreamingMultiprocessor, WaveAnchor
 from repro.gpu.sm_driver import SMDriver
@@ -94,8 +93,6 @@ class ExecutionEngine:
         self.sm_driver = SMDriver(self)
         self.stats = StatRegistry()
         self._backpressure_callbacks: List[Callable[[], None]] = []
-        #: Completed kernel launches, in completion order (for reporting).
-        self.completed_launches: List[KernelLaunch] = []
         #: Optional instrumentation sink (see :mod:`repro.validation`),
         #: notified of preemption completions and kernel completions; it must
         #: never mutate simulation state.
@@ -349,7 +346,6 @@ class ExecutionEngine:
         """All thread blocks of an active kernel completed."""
         entry = self.framework.ksr(ksr_index)
         command = self.framework.finish_kernel(ksr_index)
-        self.completed_launches.append(entry.launch)
         self.stats.counter("kernels_completed").add()
         if self.observer is not None:
             self.observer.on_kernel_finished(entry.launch)

@@ -11,6 +11,7 @@ progress and records timing of the whole command.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -140,12 +141,21 @@ class KernelLaunch:
     # ------------------------------------------------------------------
     # Thread-block management
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def _jitter_prefix(self) -> int:
+        """Hash state of ``(seed, qualified name, launch id)``, shared by every block.
+
+        Computed on first issue (during the run, never while systems are
+        built), so each block's jitter costs one SplitMix round.
+        """
+        return self.jitter.prefix(self.spec.qualified_name, self.launch_id)
+
     def block_execution_time(self, block_index: int) -> float:
         """Deterministic execution time of block ``block_index``."""
         base = self.spec.avg_tb_time_us
         if self.jitter is None:
             return base
-        return self.jitter.scaled(base, self.spec.qualified_name, self.launch_id, block_index)
+        return self.jitter.scaled_at(base, self._jitter_prefix, block_index)
 
     def next_thread_block(self) -> ThreadBlock:
         """Materialise the next never-issued thread block of this launch."""
@@ -184,11 +194,10 @@ class KernelLaunch:
                 blocks_map[index] = block
                 out.append(block)
         else:
-            qualified = self.spec.qualified_name
+            prefix = self._jitter_prefix
+            scaled_at = jitter.scaled_at
             for index in range(start, end):
-                block = ThreadBlock(
-                    launch_id, index, jitter.scaled(base, qualified, launch_id, index)
-                )
+                block = ThreadBlock(launch_id, index, scaled_at(base, prefix, index))
                 blocks_map[index] = block
                 out.append(block)
         return out

@@ -433,7 +433,9 @@ class StreamingMultiprocessor:
                     return
         wave = Wave(completes_at, [(self, block, on_complete) for block in blocks])
         if len(blocks) == 1:
-            label = f"sm{self.sm_id}.block{blocks[0].key}.complete"
+            # Same text as formatting the key tuple, without its repr.
+            launch_id, index = blocks[0].key
+            label = f"sm{self.sm_id}.block({launch_id}, {index}).complete"
         else:
             label = f"sm{self.sm_id}.wave{len(blocks)}.complete"
         handle = sim.schedule_at(completes_at, wave.fire, label=label)
@@ -484,7 +486,8 @@ class StreamingMultiprocessor:
         wave = Wave(completes_at, [(self, run, on_complete)])
         wave.live = run.count
         if run.count == 1:
-            label = f"sm{self.sm_id}.block{run.key}.complete"
+            launch_id, index = run.key
+            label = f"sm{self.sm_id}.block({launch_id}, {index}).complete"
         else:
             label = f"sm{self.sm_id}.wave{run.count}.complete"
         handle = sim.schedule_at(completes_at, wave.fire, label=label)

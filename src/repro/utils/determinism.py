@@ -9,9 +9,14 @@ small, stable 64-bit mixing function instead (SplitMix64).
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Union
 
 _MASK64 = (1 << 64) - 1
+#: SplitMix64 state before the first key component is mixed in.
+_HASH_INIT = 0x853C49E6748FEA9B
+#: ``2**64`` as a float: maps a 64-bit hash onto ``[0, 1)``.
+_TWO64 = float(1 << 64)
 
 Hashable = Union[int, str, float, bytes]
 
@@ -40,6 +45,16 @@ def _fold(value: Hashable) -> int:
     raise TypeError(f"unsupported key component type: {type(value)!r}")
 
 
+@functools.lru_cache(maxsize=1024)
+def _fold_str(value: str) -> int:
+    """:func:`_fold` of an exact ``str``, memoized.
+
+    Keys reuse a small vocabulary (namespaces, kernel names, draw labels),
+    so each string is FNV-folded once instead of once per draw.
+    """
+    return hash_bytes(value.encode("utf-8"))
+
+
 def hash_bytes(data: bytes) -> int:
     """A stable 64-bit FNV-1a hash of a byte string."""
     value = 0xCBF29CE484222325
@@ -49,17 +64,29 @@ def hash_bytes(data: bytes) -> int:
     return value
 
 
+def _mix(state: int, components: Iterable[Hashable]) -> int:
+    """Mix ``components`` into a SplitMix64 ``state``, one round each."""
+    for component in components:
+        # Exact-type fast paths; bool, subclasses, float and bytes take _fold.
+        kind = type(component)
+        if kind is int:
+            value = component & _MASK64
+        elif kind is str:
+            value = _fold_str(component)
+        else:
+            value = _fold(component)
+        state = _splitmix64(state ^ value)
+    return state
+
+
 def stable_hash(*components: Hashable) -> int:
     """Mix an arbitrary tuple of components into a stable 64-bit value."""
-    state = 0x853C49E6748FEA9B
-    for component in components:
-        state = _splitmix64(state ^ _fold(component))
-    return state
+    return _mix(_HASH_INIT, components)
 
 
 def hash_uniform(*components: Hashable) -> float:
     """Return a deterministic uniform sample in ``[0, 1)`` for the key."""
-    return stable_hash(*components) / float(1 << 64)
+    return stable_hash(*components) / _TWO64
 
 
 class DeterministicJitter:
@@ -93,6 +120,23 @@ class DeterministicJitter:
     def scaled(self, base: float, *key: Hashable) -> float:
         """Apply the jitter factor for ``key`` to ``base``."""
         return base * self.factor(*key)
+
+    def prefix(self, *key: Hashable) -> int:
+        """The hash state after the seed and ``key``, for :meth:`scaled_at`.
+
+        A kernel launch hashes its fixed key part (qualified name, launch
+        id) once and finishes each block index in one SplitMix round.
+        """
+        return _mix(_HASH_INIT, (self._seed, *key))
+
+    def scaled_at(self, base: float, prefix: int, index: int) -> float:
+        """``scaled(base, *key, index)`` bit for bit, given ``prefix(*key)``.
+
+        ``index`` must be an exact ``int`` (a ``bool`` folds differently).
+        With zero spread the factor is exactly 1.0, as in :meth:`factor`.
+        """
+        u = _splitmix64(prefix ^ (index & _MASK64)) / _TWO64
+        return base * (1.0 + self._spread * (2.0 * u - 1.0))
 
 
 def weighted_choice(weights: Iterable[float], u: float) -> int:

@@ -114,3 +114,24 @@ def test_note_span_completed_finishes_the_launch_exactly_once():
     assert finished == [9.0]
     with pytest.raises(RuntimeError):
         launch.note_span_completed(1, 10.0)
+
+
+def test_single_block_run_label_matches_the_per_block_label(simulator, gpu_config):
+    from repro.gpu.kernel import KernelLaunch, KernelSpec
+    from repro.gpu.resources import ResourceUsage
+
+    spec = KernelSpec(
+        name="k", benchmark="b", num_thread_blocks=4, avg_tb_time_us=2.0,
+        usage=ResourceUsage(registers_per_block=1, shared_memory_per_block=0),
+    )
+    launch = KernelLaunch(spec=spec, launch_id=9, context_id=1)
+    launch.take_fresh_span(2)
+    first, taken = launch.take_fresh_span(1)
+    sm = StreamingMultiprocessor(2, gpu_config, simulator)
+    sm.configure(
+        ksr_index=0, context_id=1, page_table_base=0x1000,
+        max_resident_blocks=4, shared_memory_config=16 * 1024,
+    )
+    sm.start_run(BlockRun(launch, first, taken, 2.0), extra_latency_us=0.0,
+                 on_complete=lambda block: None)
+    assert simulator.pending_labels() == ["sm2.block(9, 2).complete"]

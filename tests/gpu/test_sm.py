@@ -156,6 +156,13 @@ class TestWaveBatching:
         assert all(b.state is ThreadBlockState.COMPLETED for b in blocks)
         assert sm.completion_waves_fired == 1
 
+    def test_single_block_event_label_renders_the_block_key(self, sm, simulator):
+        # obs normalize_label kinds and the metrics goldens read this text.
+        configure(sm)
+        block = ThreadBlock(kernel_launch_id=17, block_index=3, execution_time_us=10.0)
+        sm.start_block(block, extra_latency_us=0.5, on_complete=lambda b: None)
+        assert simulator.pending_labels() == ["sm0.block(17, 3).complete"]
+
     def test_heterogeneous_remainders_fall_back_to_per_block_events(self, sm, simulator):
         configure(sm)
         done = []

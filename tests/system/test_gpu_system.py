@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.policies import FCFSPolicy
 from repro.core.preemption import DrainingMechanism
+from repro.gpu.kernel import KernelLaunch
 from repro.memory.transfer_engine import TransferSchedulingPolicy
+from repro.sim.observers import BaseObserver
 from repro.system import GPUSystem, run_isolated
 from repro.trace.generator import TraceGenerator
 
@@ -85,19 +89,46 @@ class TestExecution:
 
     def test_kernel_work_conservation(self, demo_trace):
         """Every launched thread block executes exactly once."""
+
+        class FinishedBlocks(BaseObserver):
+            wants_simulator_events = False
+            total = 0
+
+            def on_kernel_finished(self, launch) -> None:
+                self.total += launch.spec.num_thread_blocks
+
         system = GPUSystem(policy="dss", mechanism="context_switch",
                            policy_options={"process_count": 2})
+        finished = FinishedBlocks()
+        system.install_observer(finished)
         system.add_process("a", demo_trace, max_iterations=1)
         system.add_process("b", demo_trace, max_iterations=1)
         system.run(max_events=5_000_000)
-        engine = system.execution_engine
-        launched_blocks = sum(
-            launch.spec.num_thread_blocks for launch in engine.completed_launches
-        )
-        executed = sum(sm.blocks_executed for sm in engine.sms())
+        launched_blocks = finished.total
+        executed = sum(sm.blocks_executed for sm in system.execution_engine.sms())
         assert launched_blocks == executed
         # 2 processes x 2 launches x 52 blocks.
         assert launched_blocks == 2 * 2 * 52
+
+    @pytest.mark.parametrize("launches", [2, 8])
+    def test_finished_launches_are_not_retained(self, trace_generator, launches):
+        """Memory stays flat in run length: no finished launch outlives its kernel."""
+        trace = trace_generator.uniform_kernel(
+            "demo", num_blocks=52, tb_time_us=5.0, launches=launches
+        )
+        system = GPUSystem(policy="dss", mechanism="context_switch",
+                           policy_options={"process_count": 2})
+        names = {f"retention{launches}-a", f"retention{launches}-b"}
+        for name in sorted(names):
+            system.add_process(name, trace, max_iterations=1)
+        system.run(max_events=5_000_000)
+        assert system.execution_engine.stats.counter("kernels_completed").value == 2 * launches
+        gc.collect()
+        live = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, KernelLaunch) and obj.process_name in names
+        ]
+        assert live == []
 
     def test_isolation_across_processes(self, demo_trace):
         """Concurrent processes never map the same physical frame."""
