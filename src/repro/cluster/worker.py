@@ -10,46 +10,20 @@ same payloads.
 Member GPUs synchronise with the cluster only at epoch boundaries, and every
 epoch batch is run to idle, so a GPU's cross-epoch state reduces to its
 clock and its launch count (the same quiesce-at-idle reduction the serving
-checkpoints use): each call rebuilds a fresh
-:class:`~repro.system.GPUSystem` at ``start_time_us=clock_us``, recreates
-the per-tenant contexts in a fixed order (stable context ids) and continues
-the launch-id sequence (stable per-launch jitter), making the epoch split
-invisible in the results.
+checkpoints use).  Each call rebuilds a fresh system from those two resume
+values with :meth:`~repro.system.GPUSystem.from_scenario`, which makes the
+epoch split invisible in the results.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
-from repro.registry import POLICIES
+from repro.runner import runner_for
 from repro.scenario import ScenarioSpec
 from repro.serving.driver import ServingSpec
 from repro.serving.queue import IngressQueue, Request
 from repro.system import GPUSystem
-
-#: Per-process cache of (config, suite) pairs, keyed like the batch runner's
-#: worker cache: rebuilding the synthetic suite per epoch would swamp the
-#: actual simulation work.
-_CONTEXT_CACHE: Dict[Tuple[str, str], Tuple[Any, Any]] = {}
-
-
-def _context_for(scenario: ScenarioSpec) -> Tuple[Any, Any]:
-    import json
-
-    from repro.workloads.synthetic import SyntheticSuite  # local: avoids cycle
-
-    key = (
-        scenario.scale,
-        json.dumps(dict(scenario.config_overrides), sort_keys=True, default=str),
-    )
-    cached = _CONTEXT_CACHE.get(key)
-    if cached is None:
-        scale = scenario.workload_scale()
-        config = scale.scale_config(scenario.system_config())
-        cached = (config, SyntheticSuite(scale))
-        _CONTEXT_CACHE[key] = cached
-    return cached
 
 
 def make_epoch_payload(
@@ -74,52 +48,25 @@ class _EpochRun:
     """Drives one epoch batch on one rebuilt GPU system."""
 
     def __init__(self, payload: Dict[str, Any]):
-        scenario = ScenarioSpec.from_dict(payload["scenario"])
+        # Fleet metrics are sampled centrally at epoch bounds (see
+        # ``GPUFleet``), so member systems run without a hub.
+        scenario = ScenarioSpec.from_dict({**payload["scenario"], "metrics": None})
         self.scenario = scenario
         self.spec = ServingSpec.from_scenario(scenario)
         self.gpu_id = int(payload["gpu_id"])
-        config, suite = _context_for(scenario)
-
-        scheme = scenario.scheme
-        options = dict(scheme.policy_options)
-        if POLICIES.canonical_name(scheme.policy) == "dss":
-            options.setdefault("process_count", scenario.num_processes)
-        trace: Any = False
-        if scenario.trace:
-            from repro.telemetry import TraceCollector  # local: keeps import cheap
-
-            trace = TraceCollector(gpu_id=self.gpu_id)
-        self.system = GPUSystem(
-            config,
-            policy=scheme.policy,
-            mechanism=scheme.mechanism,
-            controller=scheme.controller,
-            controller_options=dict(scheme.controller_options) or None,
-            transfer_policy=scheme.transfer_policy,
-            policy_options=options or None,
-            validate=scenario.validate,
-            trace=trace,
+        # The runner caches the scaled config and the suite per process:
+        # rebuilding the suite per epoch would swamp the simulation work.
+        runner = runner_for(scenario)
+        self.system = GPUSystem.from_scenario(
+            scenario,
+            config=runner.config,
+            suite=runner.suite,
             start_time_us=float(payload["clock_us"]),
+            launch_base=int(payload["launches"]),
         )
-        # Continue the launch-id sequence across epochs: per-launch jitter is
-        # keyed by launch id, so the epoch split must hand out the ids an
-        # unsplit run would have.
-        self.system.driver._launch_ids = itertools.count(  # noqa: SLF001
-            int(payload["launches"]) + 1
-        )
-
-        # One context per tenant, created in spec order on *every* epoch —
-        # context ids stay stable regardless of which tenants have work.
-        self._contexts: Dict[str, Any] = {}
-        self._kernels: Dict[str, List[Tuple[str, Any]]] = {}
-        for tenant in self.spec.tenants:
-            trace_obj = suite.trace(tenant.app)
-            self._kernels[tenant.name] = [
-                (name, trace_obj.kernels[name]) for name in sorted(trace_obj.kernels)
-            ]
-            self._contexts[tenant.name] = self.system.driver.create_context(
-                tenant.name, priority=tenant.priority
-            )
+        if self.system.telemetry is not None:
+            self.system.telemetry.gpu_id = self.gpu_id
+        self._tenants = self.spec.tenant_contexts(self.system, runner.suite)
 
         self._batch = [
             Request(
@@ -188,10 +135,10 @@ class _EpochRun:
     def _launch(self, request: Request) -> None:
         now = self.system.simulator.now
         request.admit_us = now
-        kernels = self._kernels[request.tenant]
+        context, kernels = self._tenants[request.tenant]
         _, kernel_spec = kernels[request.tenant_index % len(kernels)]
         command = self.system.driver.launch_kernel(
-            self._contexts[request.tenant], kernel_spec, priority=request.priority
+            context, kernel_spec, priority=request.priority
         )
         self._inflight += 1
         if self.system.telemetry is not None:

@@ -36,13 +36,16 @@ class DeviceDriver:
         context_table: ContextTable,
         allocator: GPUMemoryAllocator,
         dispatcher: CommandDispatcher,
+        launch_base: int = 0,
     ):
         self._sim = simulator
         self._config = config
         self._context_table = context_table
         self._allocator = allocator
         self._dispatcher = dispatcher
-        self._launch_ids = itertools.count(1)
+        #: Launches are numbered from ``launch_base + 1``: a resumed segment
+        #: continues its parent run's ids, which key per-launch jitter.
+        self._launch_ids = itertools.count(launch_base + 1)
         self._next_hw_queue = 0
         #: (context_id, stream_id) -> Stream
         self._streams: Dict[Tuple[int, int], Stream] = {}

@@ -14,10 +14,12 @@ near time ``b`` keeps running normally until the first instant at or after
 requests).  At such an instant the entire simulation state reduces to the
 clock, the per-tenant arrival cursors, the admission counters and the metric
 estimators — all JSON-serialisable — so a resumed run rebuilt from the
-checkpoint is *byte-identical* to the unsplit run: the kernel launch-id
-sequence is continued across segments (per-launch deterministic jitter is
-keyed by launch id), contexts are recreated in the same order (same context
-ids), and arrival gaps are key-addressed by request index, not RNG state.
+checkpoint is *byte-identical* to the unsplit run: the segment's system is
+built by :meth:`~repro.system.GPUSystem.from_scenario` at the checkpoint's
+clock and launch count (per-launch deterministic jitter is keyed by launch
+id), :meth:`ServingSpec.tenant_contexts` creates the contexts in spec order
+(same context ids), and arrival gaps are key-addressed by request index, not
+RNG state.  A malformed checkpoint raises :class:`ValueError`.
 
 Use :func:`run_serving` for whole runs (optionally split across checkpoint
 bounds); it JSON-round-trips every checkpoint to prove serialisability.
@@ -25,12 +27,11 @@ bounds); it JSON-round-trips every checkpoint to prove serialisability.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.registry import ARRIVALS, POLICIES
+from repro.registry import ARRIVALS
 from repro.scenario import ScenarioSpec
 from repro.serving.arrivals import ArrivalProcess
 from repro.serving.metrics import ServingMetrics
@@ -195,6 +196,56 @@ class ServingSpec:
             tenants=tenants,
         )
 
+    def tenant_contexts(
+        self, system, suite
+    ) -> Dict[str, Tuple[Any, List[Tuple[str, Any]]]]:
+        """``{tenant: (context, kernels)}``, creating the contexts in spec order.
+
+        ``kernels`` are the app's ``(name, KernelSpec)`` pairs, sorted by name.
+        The fixed order keeps context ids stable across segments and epochs.
+        """
+        contexts = {}
+        for tenant in self.tenants:
+            trace = suite.trace(tenant.app)
+            kernels = [(name, trace.kernels[name]) for name in sorted(trace.kernels)]
+            context = system.driver.create_context(tenant.name, priority=tenant.priority)
+            contexts[tenant.name] = (context, kernels)
+        return contexts
+
+
+#: Keys every serving checkpoint carries (``obs`` is optional), and per tenant.
+_CHECKPOINT_KEYS = (
+    "clock_us", "request_seq", "events_processed", "queue_counters", "metrics", "tenants"
+)
+_TENANT_STATE_KEYS = ("process", "next_arrival_us", "count")
+
+
+def _check_checkpoint(state: Mapping[str, Any], spec: ServingSpec) -> None:
+    """Raise :class:`ValueError` for a checkpoint that cannot continue ``spec``'s run.
+
+    :meth:`GPUSystem.from_scenario` checks the clock and the launch base.
+    """
+    if int(state.get("schema", -1)) != CHECKPOINT_SCHEMA:
+        raise ValueError(f"unsupported serving checkpoint schema {state.get('schema')!r}")
+    tenants = state.get("tenants", {})
+    missing = [key for key in _CHECKPOINT_KEYS if key not in state] + [
+        f"tenants.{name}.{key}"
+        for name, tstate in tenants.items()
+        for key in _TENANT_STATE_KEYS
+        if key not in tstate
+    ]
+    if missing:
+        raise ValueError(f"serving checkpoint is missing {missing}")
+    expected = sorted(tenant.name for tenant in spec.tenants)
+    if sorted(tenants) != expected:
+        raise ValueError(f"checkpoint tenants {sorted(tenants)} are not {expected}")
+    counts = {f"tenants.{name}.count": t["count"] for name, t in tenants.items()}
+    for key in ("arrived", "admitted", "dropped"):
+        counts[f"queue_counters.{key}"] = state["queue_counters"][key]
+    negative = [key for key, value in counts.items() if int(value) < 0]
+    if negative:
+        raise ValueError(f"serving checkpoint has negative {negative}")
+
 
 @dataclass
 class _TenantRuntime:
@@ -231,59 +282,37 @@ class ServingDriver:
         from repro.workloads.synthetic import SyntheticSuite  # local: avoids cycle
 
         self.scenario = scenario
-        self.spec = ServingSpec.from_scenario(scenario)
-        scale = scenario.workload_scale()
-        self.config = (
-            config if config is not None else scale.scale_config(scenario.system_config())
+        self.spec = spec = ServingSpec.from_scenario(scenario)
+        self.suite = (
+            suite if suite is not None else SyntheticSuite(scenario.workload_scale())
         )
-        self.suite = suite if suite is not None else SyntheticSuite(scale)
+        self.queue = IngressQueue(
+            capacity=spec.queue_capacity, admission=spec.admission
+        )
 
         state = checkpoint
-        if state is not None and int(state.get("schema", -1)) != CHECKPOINT_SCHEMA:
-            raise ValueError(
-                f"unsupported serving checkpoint schema {state.get('schema')!r}"
-            )
+        if state is not None:
+            _check_checkpoint(state, spec)
+            self.queue.counters = QueueCounters.from_dict(state["queue_counters"])
         start_us = float(state["clock_us"]) if state else 0.0
-
-        scheme = scenario.scheme
-        options = dict(scheme.policy_options)
-        if POLICIES.canonical_name(scheme.policy) == "dss":
-            # Equal sharing needs the tenant count for its token budgets.
-            options.setdefault("process_count", scenario.num_processes)
-        self.system = GPUSystem(
-            self.config,
-            policy=scheme.policy,
-            mechanism=scheme.mechanism,
-            controller=scheme.controller,
-            controller_options=dict(scheme.controller_options) or None,
-            transfer_policy=scheme.transfer_policy,
-            policy_options=options or None,
-            validate=scenario.validate,
-            trace=scenario.trace,
-            metrics=scenario.metrics,
+        self.system = GPUSystem.from_scenario(
+            scenario,
+            config=config,
+            suite=self.suite,
             start_time_us=start_us,
+            # One launch per admitted request: the serving system runs no
+            # host processes.
+            launch_base=self.queue.counters.admitted,
         )
         #: Observer target, kept in sync by ``GPUSystem._rewire_observers``.
         self.observer = None
         self.system.serving = self
         self.system._rewire_observers()  # noqa: SLF001 - observers pre-date us
 
-        spec = self.spec
-        self.queue = IngressQueue(
-            capacity=spec.queue_capacity, admission=spec.admission
-        )
         if state:
-            self.queue.counters = QueueCounters.from_dict(state["queue_counters"])
             self.metrics = ServingMetrics.restore(state["metrics"])
             self._request_seq = int(state["request_seq"])
             self._events_before = int(state["events_processed"])
-            # Continue the launch-id sequence: per-launch deterministic
-            # jitter is keyed by launch id, so a resumed segment must hand
-            # out the ids the unsplit run would have (one launch per
-            # admitted request — the serving system runs no host processes).
-            self.system.driver._launch_ids = itertools.count(  # noqa: SLF001
-                self.queue.counters.admitted + 1
-            )
         else:
             self.metrics = ServingMetrics(
                 tenants={t.name: t.slo_us for t in spec.tenants},
@@ -296,34 +325,33 @@ class ServingDriver:
             self._events_before = 0
 
         self._tenants: List[_TenantRuntime] = []
+        contexts = spec.tenant_contexts(self.system, self.suite)
         for tenant in spec.tenants:
-            trace = self.suite.trace(tenant.app)
-            kernels = [(name, trace.kernels[name]) for name in sorted(trace.kernels)]
-            context = self.system.driver.create_context(
-                tenant.name, priority=tenant.priority
-            )
             process = ARRIVALS.create(
                 tenant.process, seed=tenant.seed, **dict(tenant.options)
+            )
+            context, kernels = contexts[tenant.name]
+            runtime = _TenantRuntime(
+                spec=tenant,
+                process=process,
+                context=context,
+                kernels=kernels,
+                next_arrival_us=0.0,
             )
             if state:
                 tstate = state["tenants"][tenant.name]
                 process.restore(tstate["process"])
-                runtime = _TenantRuntime(
-                    spec=tenant,
-                    process=process,
-                    context=context,
-                    kernels=kernels,
-                    next_arrival_us=float(tstate["next_arrival_us"]),
-                    count=int(tstate["count"]),
-                )
+                runtime.next_arrival_us = float(tstate["next_arrival_us"])
+                runtime.count = int(tstate["count"])
+                # An arrival past the horizon is never scheduled, so a drained
+                # run's final checkpoint may carry one behind its clock.
+                if start_us > runtime.next_arrival_us <= spec.horizon_us:
+                    raise ValueError(
+                        f"checkpoint tenant {tenant.name!r} has next_arrival_us "
+                        f"{runtime.next_arrival_us} before clock_us {start_us}"
+                    )
             else:
-                runtime = _TenantRuntime(
-                    spec=tenant,
-                    process=process,
-                    context=context,
-                    kernels=kernels,
-                    next_arrival_us=process.next_gap_us(),
-                )
+                runtime.next_arrival_us = process.next_gap_us()
             self._tenants.append(runtime)
         self._by_name = {runtime.spec.name: runtime for runtime in self._tenants}
         self._inflight = 0

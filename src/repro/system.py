@@ -18,6 +18,7 @@ True
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Union
 
 from repro.core.policies import SchedulingPolicy, make_policy
@@ -56,10 +57,15 @@ class GPUSystem:
         trace: bool = False,
         metrics=None,
         start_time_us: float = 0.0,
+        launch_base: int = 0,
     ):
+        # ``start_time_us`` and ``launch_base`` let a resumed segment continue
+        # the clock and the launch-id sequence of the segment before it.
+        if not (math.isfinite(start_time_us) and start_time_us >= 0):
+            raise ValueError(f"start_time_us must be finite and >= 0: {start_time_us!r}")
+        if type(launch_base) is not int or launch_base < 0:
+            raise ValueError(f"launch_base must be an int >= 0: {launch_base!r}")
         self.config = config if config is not None else SystemConfig()
-        #: ``start_time_us`` lets a resumed serving segment continue the
-        #: simulated clock of the segment it was checkpointed from.
         self.simulator = Simulator(start_time=start_time_us)
 
         if isinstance(policy, str):
@@ -103,6 +109,7 @@ class GPUSystem:
             context_table=self.context_table,
             allocator=self.allocator,
             dispatcher=self.dispatcher,
+            launch_base=launch_base,
         )
         self.processes: List[HostProcess] = []
         self._process_index: Dict[str, HostProcess] = {}
@@ -223,14 +230,17 @@ class GPUSystem:
         *,
         config: Optional[SystemConfig] = None,
         suite=None,
+        start_time_us: float = 0.0,
+        launch_base: int = 0,
     ) -> "GPUSystem":
-        """Build a system (processes included) from a :class:`ScenarioSpec`.
+        """Build a system from a :class:`ScenarioSpec`.
 
-        This is the canonical constructor of the declarative API: the
-        scenario's scheme is resolved through the component registries, the
-        workload scale preset supplies the benchmark suite and the scaled
-        hardware configuration, and one process per application is added with
-        the scenario's priorities and start stagger.
+        This is the one constructor of the declarative API, shared by closed
+        loops, serving segments and fleet epochs: the scenario's scheme is
+        resolved through the component registries, the workload scale preset
+        supplies the scaled hardware configuration, and a closed-loop scenario
+        gets one process per application with the scenario's priorities and
+        start stagger.  Open-loop (``arrivals=``) drivers add tenant contexts.
 
         Parameters
         ----------
@@ -238,10 +248,13 @@ class GPUSystem:
             Pre-scaled :class:`SystemConfig` to use instead of the scenario's
             (``scale.scale_config(scenario.system_config())``).
         suite:
-            Benchmark suite supplying the application traces (default: a
-            :class:`~repro.workloads.synthetic.SyntheticSuite` at the
-            scenario's scale, which resolves both Parboil names and
+            Benchmark suite supplying the closed-loop application traces
+            (default: a :class:`~repro.workloads.synthetic.SyntheticSuite` at
+            the scenario's scale, which resolves both Parboil names and
             seed-derived ``syn-*`` applications).
+        start_time_us, launch_base:
+            A resumed segment's clock and the number of launches before it;
+            launch ids (which key per-launch jitter) start at ``launch_base + 1``.
         """
         from repro.workloads.synthetic import SyntheticSuite  # local: avoids cycle
 
@@ -268,7 +281,11 @@ class GPUSystem:
             validate=scenario.validate,
             trace=scenario.trace,
             metrics=scenario.metrics,
+            start_time_us=start_time_us,
+            launch_base=launch_base,
         )
+        if scenario.arrivals is not None:
+            return system
         for slot, (app, process_name) in enumerate(
             zip(scenario.applications, scenario.process_names())
         ):

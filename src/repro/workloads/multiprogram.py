@@ -365,12 +365,8 @@ class WorkloadRunner:
             raise ValueError(
                 "scenario config_overrides do not match this runner's configuration"
             )
-        if scenario.cluster is not None:
-            return self._run_fleet_scenario(
-                scenario, trace_path=trace_path, metrics_path=metrics_path
-            )
         if scenario.arrivals is not None:
-            return self._run_serving_scenario(
+            return self._run_open_loop_scenario(
                 scenario, trace_path=trace_path, metrics_path=metrics_path
             )
         system = GPUSystem.from_scenario(scenario, config=self.config, suite=self.suite)
@@ -431,84 +427,34 @@ class WorkloadRunner:
             trace_summary=trace_summary,
         )
 
-    def _run_fleet_scenario(
+    def _run_open_loop_scenario(
         self,
         scenario: ScenarioSpec,
         *,
         trace_path: Optional[str] = None,
         metrics_path: Optional[str] = None,
     ) -> WorkloadResult:
-        """Run a multi-GPU (``cluster=``) scenario through the fleet layer.
-
-        Like open-loop serving, closed-loop iteration metrics do not apply;
-        the fleet summary (cluster admission, merged and per-GPU serving
-        metrics, routing counts) lands in
-        :attr:`WorkloadResult.serving_summary`.  Runs serially here — the
-        fleet experiment shards epochs over a
-        :class:`~repro.runner.BatchRunner` pool directly via
-        :func:`repro.cluster.run_fleet`.
-        """
-        from repro.cluster import run_fleet  # local: avoids cycle
-
-        outcome = run_fleet(scenario, suite=self.suite)
-        if metrics_path is not None and outcome.metrics_rows is not None:
-            from repro.obs import write_jsonl  # local: keeps import cheap
-
-            write_jsonl(outcome.metrics_rows, metrics_path, meta=outcome.metrics_meta)
-        spec = WorkloadSpec(
-            applications=scenario.applications,
-            high_priority_index=scenario.high_priority_index,
-            workload_id=scenario.workload_id,
-        )
-        process_applications = dict(zip(spec.process_names(), spec.applications))
-        trace_summary = None
-        if scenario.trace:
-            from repro.telemetry.analytics import summarize  # local: keeps import cheap
-            from repro.telemetry.export import write_chrome_trace
-
-            artifacts = []
-            if trace_path is not None:
-                write_chrome_trace(
-                    outcome.trace_events, trace_path, end_us=outcome.simulated_time_us
-                )
-                artifacts.append(trace_path)
-            trace_summary = summarize(
-                outcome.trace_events,
-                now_us=outcome.simulated_time_us,
-                artifacts=artifacts,
-            )
-        return WorkloadResult(
-            spec=spec,
-            policy=scenario.scheme.policy,
-            mechanism=scenario.scheme.mechanism,
-            process_times_us={},
-            process_applications=process_applications,
-            metrics=MultiprogramMetrics(ntt={}, antt=0.0, stp=0.0, fairness=0.0),
-            engine_stats={},
-            simulated_time_us=outcome.simulated_time_us,
-            events_processed=outcome.events_processed,
-            validated=outcome.validated,
-            violations=outcome.violations,
-            trace_summary=trace_summary,
-            serving_summary=outcome.summary,
-        )
-
-    def _run_serving_scenario(
-        self,
-        scenario: ScenarioSpec,
-        *,
-        trace_path: Optional[str] = None,
-        metrics_path: Optional[str] = None,
-    ) -> WorkloadResult:
-        """Run an open-loop (``arrivals=``) scenario through the serving layer.
+        """Run an open-loop (``arrivals=``) scenario: serving, or a fleet.
 
         Closed-loop iteration metrics (NTT/ANTT/STP) do not apply to an
         open-loop run — request-latency quantiles, windowed throughput/ANTT
-        and SLO counters live in :attr:`WorkloadResult.serving_summary`.
+        and SLO counters live in :attr:`WorkloadResult.serving_summary`.  A
+        ``cluster=`` scenario runs through the fleet layer, serially here —
+        the fleet experiment shards epochs over a
+        :class:`~repro.runner.BatchRunner` pool directly via
+        :func:`repro.cluster.run_fleet` — and reports no engine statistics,
+        since its member systems live in the epoch workers.
         """
-        from repro.serving import run_serving  # local: avoids cycle
+        if scenario.cluster is not None:
+            from repro.cluster import run_fleet  # local: avoids cycle
 
-        outcome = run_serving(scenario, config=self.config, suite=self.suite)
+            outcome = run_fleet(scenario, suite=self.suite)
+            engine_stats = {}
+        else:
+            from repro.serving import run_serving  # local: avoids cycle
+
+            outcome = run_serving(scenario, config=self.config, suite=self.suite)
+            engine_stats = outcome.engine_stats
         if metrics_path is not None and outcome.metrics_rows is not None:
             from repro.obs import write_jsonl  # local: keeps import cheap
 
@@ -542,7 +488,7 @@ class WorkloadRunner:
             process_times_us={},
             process_applications=process_applications,
             metrics=MultiprogramMetrics(ntt={}, antt=0.0, stp=0.0, fairness=0.0),
-            engine_stats=outcome.engine_stats,
+            engine_stats=engine_stats,
             simulated_time_us=outcome.simulated_time_us,
             events_processed=outcome.events_processed,
             validated=outcome.validated,

@@ -19,6 +19,7 @@ from repro.scenario import (
     config_to_overrides,
 )
 from repro.system import GPUSystem
+from repro.trace import TraceGenerator
 from repro.workloads.multiprogram import WorkloadSpec
 
 
@@ -237,3 +238,41 @@ class TestFromScenario:
             max_events=spec.resolved_max_events(),
         )
         assert system.process("sad#0").completed_iterations >= 1
+
+    def test_open_loop_scenario_builds_no_processes(self):
+        spec = ScenarioSpec(
+            scheme=SchemeSpec(policy="fcfs"),
+            applications=("sad", "lbm"),
+            scale="smoke",
+            arrivals={"horizon_us": 1_000.0},
+        )
+        assert GPUSystem.from_scenario(spec).processes == []
+
+    def test_resume_values_continue_clock_and_launch_ids(self):
+        spec = ScenarioSpec(
+            scheme=SchemeSpec(policy="fcfs"), applications=("sad",), scale="smoke"
+        )
+        system = GPUSystem.from_scenario(spec, start_time_us=1_234.5, launch_base=41)
+        assert system.simulator.now == 1_234.5
+        trace = TraceGenerator().uniform_kernel("probe", num_blocks=4, tb_time_us=1.0)
+        context = system.driver.create_context("probe")
+        command = system.driver.launch_kernel(context, next(iter(trace.kernels.values())))
+        assert command.launch.launch_id == 42
+
+    @pytest.mark.parametrize(
+        "resume",
+        [
+            {"start_time_us": -1.0},
+            {"start_time_us": float("nan")},
+            {"start_time_us": float("inf")},
+            {"launch_base": -1},
+            {"launch_base": True},
+        ],
+        ids=["negative-clock", "nan-clock", "infinite-clock", "negative-base", "bool-base"],
+    )
+    def test_rejects_bad_resume_values(self, resume):
+        spec = ScenarioSpec(
+            scheme=SchemeSpec(policy="fcfs"), applications=("sad",), scale="smoke"
+        )
+        with pytest.raises(ValueError, match=next(iter(resume))):
+            GPUSystem.from_scenario(spec, **resume)

@@ -6,11 +6,13 @@ arrival draws.  Every scenario runs with validation attached and must record
 zero violations, and the fleet summary must be byte-identical whether the
 epoch batches execute serially or across a
 :class:`~repro.runner.BatchRunner` process pool — the cluster layer's core
-guarantee — and whether validation is attached or not.
+guarantee — whether validation is attached or not, and whether metrics
+are on or off.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -23,11 +25,11 @@ from repro.workloads.synthetic import CLUSTER_ROUTERS, generate_synthetic_scenar
 FUZZ_SEEDS = list(range(25))
 
 
-def _fuzz_scenario(seed: int, validate: bool = True):
+def _fuzz_scenario(seed: int):
     return generate_synthetic_scenario(
         seed,
         scale="smoke",
-        validate=validate,
+        validate=True,
         max_processes=4,
         cluster=True,
     )
@@ -76,12 +78,18 @@ def test_fuzzed_fleets_record_no_violations(serial_outcomes):
         assert outcome.violations == [], f"seed {seed}"
 
 
-def test_validation_never_perturbs_fleet_runs(serial_outcomes):
+@pytest.mark.parametrize(
+    "switch",
+    [{"validate": False}, {"metrics": {}}],
+    ids=["validation_off", "metrics_on"],
+)
+def test_validation_never_perturbs_fleet_runs(serial_outcomes, switch):
     for seed, validated in serial_outcomes.items():
-        plain = run_fleet(_fuzz_scenario(seed, validate=False))
-        assert not plain.validated, f"seed {seed}"
-        assert _summary_json(plain) == _summary_json(validated), f"seed {seed}"
-        assert plain.events_processed == validated.events_processed, f"seed {seed}"
+        flipped = run_fleet(dataclasses.replace(_fuzz_scenario(seed), **switch))
+        assert flipped.validated == switch.get("validate", True), f"seed {seed}"
+        assert bool(flipped.metrics_rows) == ("metrics" in switch), f"seed {seed}"
+        assert _summary_json(flipped) == _summary_json(validated), f"seed {seed}"
+        assert flipped.events_processed == validated.events_processed, f"seed {seed}"
 
 
 def test_sharded_fleets_are_byte_identical_to_serial(serial_outcomes):

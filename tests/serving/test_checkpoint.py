@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -96,3 +97,39 @@ def test_final_checkpoint_resumes_as_a_no_op_segment():
     resumed.run()
     assert resumed.complete
     assert json.dumps(resumed.summary(), sort_keys=True) == _summary_json(outcome)
+
+
+_HP = "syn-11-0#0"
+
+#: One-field edits of the 8 ms checkpoint, each with the word its error names.
+MALFORMED = {
+    "negative admitted": (lambda s: s["queue_counters"].update(admitted=-3), "admitted"),
+    "early next arrival": (
+        lambda s: s["tenants"][_HP].update(next_arrival_us=0.0), "next_arrival_us"
+    ),
+    "infinite clock": (lambda s: s.update(clock_us=float("inf")), "start_time_us"),
+    "nan clock": (lambda s: s.update(clock_us=float("nan")), "start_time_us"),
+    "negative clock": (lambda s: s.update(clock_us=-1.0), "start_time_us"),
+    "missing clock": (lambda s: s.pop("clock_us"), "clock_us"),
+    "missing metrics": (lambda s: s.pop("metrics"), "metrics"),
+    "missing tenants": (lambda s: s.pop("tenants"), "tenants"),
+    "renamed tenant": (lambda s: s["tenants"].update(bogus=s["tenants"].pop(_HP)), "bogus"),
+    "extra tenant": (lambda s: s["tenants"].update(extra=dict(s["tenants"][_HP])), "extra"),
+    "negative tenant count": (lambda s: s["tenants"][_HP].update(count=-1), "count"),
+}
+
+
+@pytest.fixture(scope="module")
+def checkpoint_at_8ms():
+    driver = ServingDriver(make_serving_scenario())
+    driver.run(quiesce_at_us=8_000.0)
+    return json.loads(json.dumps(driver.checkpoint()))
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED))
+def test_malformed_checkpoint_is_rejected(checkpoint_at_8ms, edit):
+    mutate, names = MALFORMED[edit]
+    state = copy.deepcopy(checkpoint_at_8ms)
+    mutate(state)
+    with pytest.raises(ValueError, match=names):
+        ServingDriver(make_serving_scenario(), checkpoint=state)
