@@ -28,10 +28,10 @@ class GPUContext:
         Name of the owning host process (for reporting).
     page_table_base:
         Simulated physical address of the context's top-level page table.
-        The value itself carries no meaning beyond being distinct per context
-        — the memory model in :mod:`repro.memory.address_space` does the
-        actual bookkeeping — but SMs load it into their base page-table
-        register during setup, exactly as in the paper.
+        The value only has to be distinct per context: no table sits behind
+        it (kernel times are traced, so nothing walks one; see
+        :mod:`repro.memory.address_space`), but SMs load it into their base
+        page-table register during setup, exactly as in the paper.
     priority:
         Scheduling priority of the owning process (higher is more important).
     tokens:

@@ -45,17 +45,19 @@ class Wave:
     superseded (evicted, or evicted and re-issued with a new event) via an
     identity check against the wave the block is currently registered under.
 
-    When no observer is attached to an SM, a contiguous run of its blocks is
-    handed to the completion callback's ``batch_complete`` handler (see
-    :meth:`repro.gpu.sm_driver.SMDriver._batch_complete`), which completes
-    the run and refills the SM once instead of once per block.  The handler
-    only accepts runs it can prove behave identically to per-block
-    processing; anything else falls back to the exact path.
+    An entry retires on one of two paths.  A :class:`ThreadBlock` completes
+    through :meth:`StreamingMultiprocessor._finish_block` and its SM's
+    completion callback.  A :class:`BlockRun` on an SM with no observer is
+    offered to the callback's ``batch_complete_run`` handler (see
+    :meth:`repro.gpu.sm_driver.SMDriver._completion_callback`), which
+    retires the whole run and refills the SM once.  The handler accepts only
+    runs it can prove behave identically to per-block processing; anything
+    else is materialised into per-block entries in place.
     """
 
     __slots__ = ("time", "seq", "handle", "event", "entries", "live")
 
-    def __init__(self, time: float, entries: list):
+    def __init__(self, time: float, entries: list, live: int):
         self.time = time
         self.seq = -1
         self.handle: Optional[EventHandle] = None
@@ -63,11 +65,12 @@ class Wave:
         #: its ``fired``/``cancelled`` flags without property indirection).
         self.event = None
         self.entries = entries
-        #: Entries whose completion this event still owns; evictions
-        #: decrement it and cancel the event when it reaches zero, so a
-        #: fully-preempted wave behaves exactly like cancelled per-block
-        #: events (and never extends the run as a zombie no-op).
-        self.live = len(entries)
+        #: Blocks whose completion this event still owns (a run counts each
+        #: of its blocks); evictions decrement it and cancel the event when
+        #: it reaches zero, so a fully-preempted wave behaves exactly like
+        #: cancelled per-block events (and never extends the run as a zombie
+        #: no-op).
+        self.live = live
 
     def fire(self) -> None:
         entries = self.entries
@@ -87,8 +90,7 @@ class Wave:
         i = 0
         while i < n:
             sm, block, on_complete = entries[i]
-            completions = sm._completions
-            if completions.get(block.key) is not self:
+            if sm._completions.get(block.key) is not self:
                 i += 1
                 continue
             if block.__class__ is BlockRun:
@@ -105,22 +107,6 @@ class Wave:
                 sm._materialize_run(block)
                 n = len(entries)
                 continue
-            j = i + 1
-            while j < n:
-                entry = entries[j]
-                if (
-                    entry[0] is not sm
-                    or entry[2] is not on_complete
-                    or entry[1].__class__ is BlockRun
-                    or completions.get(entry[1].key) is not self
-                ):
-                    break
-                j += 1
-            if j - i > 1 and sm.observer is None:
-                batch = getattr(on_complete, "batch_complete", None)
-                if batch is not None and batch(sm, [e[1] for e in entries[i:j]], self):
-                    i = j
-                    continue
             sm._finish_block(block, on_complete)
             i += 1
 
@@ -358,6 +344,7 @@ class StreamingMultiprocessor:
                 [block],
                 on_complete,
                 batching,
+                1,
             )
             return
 
@@ -395,16 +382,21 @@ class StreamingMultiprocessor:
             else:
                 bursts.append((completes_at, [block]))
         for completes_at, blocks in bursts:
-            self._schedule_completion(completes_at, blocks, on_complete, batching)
+            self._schedule_completion(completes_at, blocks, on_complete, batching, len(blocks))
 
     def _schedule_completion(
         self,
         completes_at: float,
-        blocks: List[ThreadBlock],
+        blocks: list,
         on_complete: Callable[[ThreadBlock], None],
         batching: bool,
+        live: int,
     ) -> None:
         """Create (or join) the completion event for ``blocks``.
+
+        ``blocks`` holds thread blocks, or one :class:`BlockRun`; ``live`` is
+        the number of blocks they stand for.  A run's key is its first
+        block's, so a run gets the label its blocks would have had.
 
         Wave joining: when the engine's most recently scheduled completion
         event falls on the same instant and *nothing* was scheduled since it
@@ -429,15 +421,15 @@ class StreamingMultiprocessor:
                     for block in blocks:
                         entries.append((self, block, on_complete))
                         completions[block.key] = wave
-                    wave.live += len(blocks)
+                    wave.live += live
                     return
-        wave = Wave(completes_at, [(self, block, on_complete) for block in blocks])
-        if len(blocks) == 1:
+        wave = Wave(completes_at, [(self, block, on_complete) for block in blocks], live)
+        if live == 1:
             # Same text as formatting the key tuple, without its repr.
             launch_id, index = blocks[0].key
             label = f"sm{self.sm_id}.block({launch_id}, {index}).complete"
         else:
-            label = f"sm{self.sm_id}.wave{len(blocks)}.complete"
+            label = f"sm{self.sm_id}.wave{live}.complete"
         handle = sim.schedule_at(completes_at, wave.fire, label=label)
         wave.handle = handle
         wave.seq = handle.seq
@@ -460,10 +452,10 @@ class StreamingMultiprocessor:
         burst with no observer attached: one residency record, one wave entry
         (joined under exactly the per-block path's conditions), no block
         objects.  ``extra_latency_us`` is the issue latency the per-block
-        path would have charged each block.
+        path would have charged each block.  Runs are only issued with wave
+        batching on.
         """
-        sim = self._sim
-        now = sim.now
+        now = self._sim.now
         if len(self._resident) + self._run_blocks + run.count > self.max_resident_blocks:
             raise RuntimeError(f"SM{self.sm_id}: no free slot for another thread block")
         self.utilization.set_busy(now)
@@ -473,29 +465,9 @@ class StreamingMultiprocessor:
         # Same float-addition order as the per-block path's
         # ``now + (extra + remaining)``: completion instants must match bit
         # for bit (extra = tb issue latency, remaining = exec time).
-        completes_at = now + (extra_latency_us + run.exec_time_us)
-        completions = self._completions
-        wave = self._wave_anchor.wave
-        if wave is not None and completes_at == wave.time and sim._seq - 1 == wave.seq:
-            event = wave.event
-            if not event.fired and not event.cancelled:
-                wave.entries.append((self, run, on_complete))
-                completions[run.key] = wave
-                wave.live += run.count
-                return
-        wave = Wave(completes_at, [(self, run, on_complete)])
-        wave.live = run.count
-        if run.count == 1:
-            launch_id, index = run.key
-            label = f"sm{self.sm_id}.block({launch_id}, {index}).complete"
-        else:
-            label = f"sm{self.sm_id}.wave{run.count}.complete"
-        handle = sim.schedule_at(completes_at, wave.fire, label=label)
-        wave.handle = handle
-        wave.seq = handle.seq
-        wave.event = handle._event
-        completions[run.key] = wave
-        self._wave_anchor.wave = wave
+        self._schedule_completion(
+            now + (extra_latency_us + run.exec_time_us), [run], on_complete, True, run.count
+        )
 
     def _materialize_runs(self) -> None:
         """Convert every resident run into per-block state, in issue order."""

@@ -207,11 +207,18 @@ class SMDriver:
     def _completion_callback(self, sm_id: int):
         """The (cached) per-SM completion callback handed to issued blocks.
 
+        The callback retires one :class:`ThreadBlock`; its
+        ``batch_complete_run`` attribute retires a whole :class:`BlockRun`.
+        These are the only two retire paths.  When the kernel finishes, the
+        SM (necessarily empty) is released *before* ``finish_kernel`` is
+        announced, so policy hooks never observe a stale RUNNING association;
+        a RESERVED SM routes the completion to the mechanism owning its
+        preemption; a RUNNING SM is refilled.
+
         The closure pre-binds every per-run-stable object (engine, framework,
         SM, SMST entry, simulator, counters): block completion is the hottest
         model path, and the prologue lookups would otherwise repeat hundreds
-        of thousands of times on large-GPU scenarios.  The body mirrors
-        :meth:`on_block_completed` exactly.
+        of thousands of times on large-GPU scenarios.
         """
         callback = self._completion_callbacks.get(sm_id)
         if callback is None:
@@ -236,7 +243,7 @@ class SMDriver:
                 completed_counter.value += 1
 
                 if launch.all_blocks_completed:
-                    # See on_block_completed: release before finish_kernel.
+                    # Release before finish_kernel (see the docstring).
                     if sm_entry.state is SMState.RUNNING and not resident and not sm._run_blocks:
                         self._release_sm(sm_id, owner_ksr=ksr_index)
                     engine.finish_kernel(ksr_index)
@@ -249,58 +256,16 @@ class SMDriver:
                     # entry and this callback can be reused by the fill.
                     self._fill_running_sm(sm, sm_entry, framework, entry, callback)
 
-            def batch_complete(sm, blocks, wave) -> bool:
-                """Complete a contiguous same-SM run of a wave in one pass.
-
-                Only reachable with no SM observer attached (see
-                :meth:`repro.gpu.sm.Wave.fire`).  Accepts the run only when
-                it provably behaves identically to per-block processing:
-                every block belongs to the SM's configured RUNNING kernel and
-                the kernel cannot finish within the run (so no release /
-                finish-kernel / mechanism hooks interleave).  The SM is then
-                refilled once; the refill issues the same blocks, in the same
-                order, with the same completion instants the per-block path
-                would have produced.
-                """
-                if sm_entry.state is not SMState.RUNNING:
-                    return False
-                launch_id = blocks[0].kernel_launch_id
-                for block in blocks:
-                    if block.kernel_launch_id != launch_id:
-                        return False
-                ksr_index = index_for_launch(launch_id)
-                if ksr_index is None or ksr_index != sm_entry.ksr_index:
-                    return False
-                entry = ksr(ksr_index)
-                launch = entry.launch
-                count = len(blocks)
-                if launch.completed_blocks + count >= launch.spec.num_thread_blocks:
-                    return False
-                now = simulator.now
-                completions = sm._completions
-                for block in blocks:
-                    del completions[block.key]
-                    del resident[block.key]
-                    block.complete(now)
-                    launch.notify_block_completed(block, now)
-                wave.live -= count
-                sm.blocks_executed += count
-                if not resident and not sm._run_blocks:
-                    sm.utilization.set_idle(now)
-                completed_counter.value += count
-                sm_entry.running_blocks = len(resident) + sm._run_blocks
-                self._fill_running_sm(sm, sm_entry, framework, entry, callback)
-                return True
-
             def batch_complete_run(sm, run, wave) -> bool:
                 """Retire a whole vectorised run in O(1) (see repro.gpu.blockrun).
 
-                The run analogue of ``batch_complete``, with the same
-                acceptance proof obligations: the SM must still be RUNNING
-                the run's kernel and the kernel must not finish within the
-                run (so no release / finish-kernel / mechanism hooks
-                interleave).  Returning ``False`` makes the wave materialise
-                the run and process its blocks on the exact path.
+                Accepts the run only when it provably behaves identically to
+                per-block processing: the SM must still be RUNNING the run's
+                kernel and the kernel must not finish within the run (so no
+                release / finish-kernel / mechanism hooks interleave).  The
+                SM is then refilled once.  Returning ``False`` makes the wave
+                materialise the run and retire its blocks one by one through
+                ``callback``.
                 """
                 if sm_entry.state is not SMState.RUNNING:
                     return False
@@ -328,25 +293,9 @@ class SMDriver:
                 self._fill_running_sm(sm, sm_entry, framework, entry, callback)
                 return True
 
-            callback.batch_complete = batch_complete
             callback.batch_complete_run = batch_complete_run
             self._completion_callbacks[sm_id] = callback
         return callback
-
-    # ------------------------------------------------------------------
-    # Completion handling
-    # ------------------------------------------------------------------
-    def on_block_completed(self, sm_id: int, block: ThreadBlock) -> None:
-        """A thread block resident on ``sm_id`` finished execution.
-
-        The work happens in the per-SM completion callback (one
-        implementation, pre-bound lookups): when the kernel finishes, the SM
-        (necessarily empty) is released *before* ``finish_kernel`` is
-        announced, so policy hooks never observe a stale RUNNING association;
-        a RESERVED SM routes the completion to the mechanism owning its
-        preemption; a RUNNING SM is refilled.
-        """
-        self._completion_callback(sm_id)(block)
 
     # ------------------------------------------------------------------
     # Preemption completion

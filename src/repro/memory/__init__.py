@@ -5,11 +5,14 @@ The paper's data-transfer engine (Fig. 1, block 5) moves data between CPU and
 GPU memory over the PCIe bus; it is scheduled independently of the execution
 engine (FCFS or non-preemptive priority, depending on the experiment).  The
 memory hierarchy itself needs only minimal awareness of multiprogramming —
-per-context page tables (address spaces) — because address translation
-happens at the private levels of the hierarchy (paper Sec. 3.1).
+per-context page tables — because address translation happens at the private
+levels of the hierarchy (paper Sec. 3.1).  Kernel times are traced, so no
+simulated access translates an address: an address space here is just its
+live allocation ranges, and no per-page table is kept (see
+:mod:`repro.memory.address_space`).
 """
 
-from repro.memory.address_space import AddressSpace, PageTable
+from repro.memory.address_space import AddressSpace
 from repro.memory.allocator import AllocationError, GPUMemoryAllocator
 from repro.memory.dram import DRAMModel
 from repro.memory.pcie import PCIeBus
@@ -17,7 +20,6 @@ from repro.memory.transfer_engine import DataTransferEngine, TransferSchedulingP
 
 __all__ = [
     "AddressSpace",
-    "PageTable",
     "GPUMemoryAllocator",
     "AllocationError",
     "DRAMModel",

@@ -1,78 +1,33 @@
-"""Per-context GPU virtual address spaces and page tables (paper Sec. 3.1).
+"""Per-context GPU virtual address spaces (paper Sec. 3.1).
 
 Concurrent execution of kernels from different processes requires the memory
 hierarchy to keep accesses from different address spaces apart.  The paper
 assumes address translation at the private levels of the hierarchy, so the
 only multiprogramming-visible structures are the per-process page tables
-walked on TLB misses (via the per-SM base page-table register) — which is
-what this module models: a simple page-granular virtual address space with a
-page table that maps virtual pages to device-physical frames.
+walked on TLB misses via the per-SM base page-table register.  SMs still load
+that register (``GPUContext.page_table_base``) exactly as in the paper.
 
-Kernel execution times are traced, so page walks do not add latency in the
-simulator; the model exists to enforce isolation invariants (no two contexts
-may map the same physical frame unless explicitly shared) and to give the
-allocator and transfer engine real addresses to work with.
+An address space is just its live :class:`Allocation` ranges: each covers a
+contiguous run of virtual pages backed by a contiguous run of physical
+frames, and :meth:`AddressSpace.translate` answers from those ranges.  No
+per-page table is kept: kernel execution times are traced, so no simulation
+path walks a table or translates an address, and one entry per 4 KiB page
+would only cost time and memory on every allocation.  Isolation between
+contexts holds by construction, because the allocator never reuses a frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 PAGE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class PageTableEntry:
-    """One virtual-to-physical mapping."""
-
-    virtual_page: int
-    physical_frame: int
-    writable: bool = True
-
-
-class PageTable:
-    """A flat page table for one GPU context."""
-
-    def __init__(self, context_id: int):
-        self.context_id = context_id
-        self._entries: Dict[int, PageTableEntry] = {}
-
-    def map(self, virtual_page: int, physical_frame: int, *, writable: bool = True) -> None:
-        """Install a mapping; remapping an existing page is an error."""
-        if virtual_page in self._entries:
-            raise ValueError(f"virtual page {virtual_page:#x} is already mapped")
-        self._entries[virtual_page] = PageTableEntry(virtual_page, physical_frame, writable)
-
-    def unmap(self, virtual_page: int) -> None:
-        """Remove a mapping; unmapping an absent page is an error."""
-        if virtual_page not in self._entries:
-            raise KeyError(f"virtual page {virtual_page:#x} is not mapped")
-        del self._entries[virtual_page]
-
-    def translate(self, virtual_address: int) -> int:
-        """Translate a virtual address to a physical address."""
-        page, offset = divmod(virtual_address, PAGE_SIZE)
-        entry = self._entries.get(page)
-        if entry is None:
-            raise KeyError(f"page fault: virtual address {virtual_address:#x} is not mapped")
-        return entry.physical_frame * PAGE_SIZE + offset
-
-    def is_mapped(self, virtual_address: int) -> bool:
-        """Whether the virtual address is currently mapped."""
-        return (virtual_address // PAGE_SIZE) in self._entries
-
-    def mapped_pages(self) -> Iterator[int]:
-        """Iterate the mapped virtual page numbers."""
-        return iter(self._entries.keys())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 @dataclass
 class Allocation:
-    """One GPU memory allocation owned by a context."""
+    """One GPU memory allocation owned by a context: ``num_pages`` virtual
+    pages from ``virtual_address``, backed by the frames from ``first_frame``."""
 
     virtual_address: int
     size_bytes: int
@@ -89,38 +44,41 @@ class AddressSpace:
 
     def __init__(self, context_id: int):
         self.context_id = context_id
-        self.page_table = PageTable(context_id)
         self._allocations: Dict[int, Allocation] = {}
         self._next_virtual = self.BASE_VIRTUAL_ADDRESS
 
     def record_allocation(self, size_bytes: int, first_frame: int) -> Allocation:
         """Create an allocation of ``size_bytes`` backed by frames starting
-        at ``first_frame`` and map its pages."""
+        at ``first_frame``."""
         if size_bytes <= 0:
             raise ValueError("allocation size must be positive")
         num_pages = -(-size_bytes // PAGE_SIZE)
         virtual_address = self._next_virtual
         self._next_virtual += num_pages * PAGE_SIZE
-        for page_index in range(num_pages):
-            self.page_table.map(
-                virtual_address // PAGE_SIZE + page_index, first_frame + page_index
-            )
         allocation = Allocation(virtual_address, size_bytes, first_frame, num_pages)
         self._allocations[virtual_address] = allocation
         return allocation
 
     def remove_allocation(self, virtual_address: int) -> Allocation:
-        """Unmap and forget the allocation at ``virtual_address``."""
+        """Forget the allocation at ``virtual_address``."""
         allocation = self._allocations.pop(virtual_address, None)
         if allocation is None:
             raise KeyError(f"no allocation at {virtual_address:#x}")
-        for page_index in range(allocation.num_pages):
-            self.page_table.unmap(virtual_address // PAGE_SIZE + page_index)
         return allocation
 
-    def allocation_at(self, virtual_address: int) -> Optional[Allocation]:
-        """The allocation starting exactly at ``virtual_address`` (if any)."""
-        return self._allocations.get(virtual_address)
+    def allocation_containing(self, virtual_address: int) -> Optional[Allocation]:
+        """The live allocation whose pages cover ``virtual_address`` (if any)."""
+        for allocation in self._allocations.values():
+            if 0 <= virtual_address - allocation.virtual_address < allocation.num_pages * PAGE_SIZE:
+                return allocation
+        return None
+
+    def translate(self, virtual_address: int) -> int:
+        """Translate a virtual address to a device-physical address."""
+        allocation = self.allocation_containing(virtual_address)
+        if allocation is None:
+            raise KeyError(f"page fault: virtual address {virtual_address:#x} is not mapped")
+        return allocation.first_frame * PAGE_SIZE + virtual_address - allocation.virtual_address
 
     @property
     def allocated_bytes(self) -> int:

@@ -4,7 +4,9 @@ Current-generation GPUs (including the paper's baseline) do not support
 demand paging, so every allocation from every context must fit in device
 memory at the same time (paper Sec. 2.2).  The allocator hands out physical
 frames to per-context address spaces and enforces both capacity and
-isolation: a frame belongs to exactly one context until freed.
+isolation: a frame belongs to exactly one context until freed.  Frames are
+handed out from a counter that only grows and are never reused, so no two
+allocations ever share a frame; ownership queries search the live ranges.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ class GPUMemoryAllocator:
     def __init__(self, dram: DRAMModel):
         self._dram = dram
         self._next_frame = 0
-        #: frame -> owning context id, for isolation checking.
-        self._frame_owner: Dict[int, int] = {}
         self._spaces: Dict[int, AddressSpace] = {}
 
     # ------------------------------------------------------------------
@@ -44,8 +44,8 @@ class GPUMemoryAllocator:
         if space is None:
             return
         for allocation in space.allocations():
-            self._release_frames(allocation)
             space.remove_allocation(allocation.virtual_address)
+            self._dram.release(allocation.num_pages * PAGE_SIZE)
 
     # ------------------------------------------------------------------
     # Allocation
@@ -62,8 +62,6 @@ class GPUMemoryAllocator:
             raise AllocationError(str(exc)) from exc
         first_frame = self._next_frame
         self._next_frame += num_pages
-        for frame in range(first_frame, first_frame + num_pages):
-            self._frame_owner[frame] = context_id
         space = self.address_space(context_id)
         return space.record_allocation(size_bytes, first_frame)
 
@@ -71,11 +69,6 @@ class GPUMemoryAllocator:
         """Free an allocation owned by ``context_id``."""
         space = self.address_space(context_id)
         allocation = space.remove_allocation(virtual_address)
-        self._release_frames(allocation)
-
-    def _release_frames(self, allocation: Allocation) -> None:
-        for frame in range(allocation.first_frame, allocation.first_frame + allocation.num_pages):
-            self._frame_owner.pop(frame, None)
         self._dram.release(allocation.num_pages * PAGE_SIZE)
 
     # ------------------------------------------------------------------
@@ -83,14 +76,16 @@ class GPUMemoryAllocator:
     # ------------------------------------------------------------------
     def frame_owner(self, frame: int) -> Optional[int]:
         """The context owning a physical frame (``None`` if free)."""
-        return self._frame_owner.get(frame)
+        for context_id, space in self._spaces.items():
+            for allocation in space.allocations():
+                if 0 <= frame - allocation.first_frame < allocation.num_pages:
+                    return context_id
+        return None
 
     def owns(self, context_id: int, virtual_address: int) -> bool:
-        """Whether ``context_id`` has a live mapping covering the address."""
+        """Whether ``context_id`` has a live allocation covering the address."""
         space = self._spaces.get(context_id)
-        if space is None:
-            return False
-        return space.page_table.is_mapped(virtual_address)
+        return space is not None and space.allocation_containing(virtual_address) is not None
 
     @property
     def total_allocated_bytes(self) -> int:

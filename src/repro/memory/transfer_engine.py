@@ -72,7 +72,6 @@ class DataTransferEngine:
         }
         self._backpressure_callbacks: List[Callable[[], None]] = []
         self.stats = StatRegistry()
-        self.completed_transfers: List[TransferCommand] = []
 
     # ------------------------------------------------------------------
     # CommandSink interface
@@ -143,7 +142,6 @@ class DataTransferEngine:
     def _finish(self, command: TransferCommand) -> None:
         """A transfer finished on the bus: notify listeners and dispatch."""
         self._in_flight[command.direction] = None
-        self.completed_transfers.append(command)
         self.stats.counter("transfers_completed").add()
         self.stats.counter("bytes_transferred", unit="B").add(command.size_bytes)
         command.complete(self._sim.now)

@@ -2,14 +2,16 @@
 
 The SM may aggregate same-instant thread-block completions into shared
 "wave" heap events (``GPUConfig.wave_batching``, on by default) and, with no
-observer attached, complete contiguous same-SM runs through the driver's
-batched handler.  Both are pure simulation optimisations: this fuzz runs 50
-seed-derived scenarios — spread across every scheduling policy × preemption
-mechanism × preemption controller combination, with jitter disabled so waves
-actually form — once wave-batched and once with the exact per-block path
-forced, and asserts byte-identical run artifacts: per-process timings,
-multiprogram metrics, engine statistics, invariant-validation verdicts and
-exported Chrome traces.  Open-loop serving runs, multi-GPU fleet runs and
+observer attached, issue and retire jitter-free refills as one ``BlockRun``
+through the driver's ``batch_complete_run`` handler.  Per-block entries have
+no batched handler: they always retire one by one.  Both are pure
+simulation optimisations: this fuzz runs 50 seed-derived scenarios — spread
+across every scheduling policy × preemption mechanism × preemption
+controller combination, with jitter disabled so waves actually form — once
+wave-batched and once with the exact per-block path forced, and asserts
+byte-identical run artifacts: per-process timings, multiprogram metrics,
+engine statistics, invariant-validation verdicts and exported Chrome
+traces.  Open-loop serving runs, multi-GPU fleet runs and
 serving checkpoints are compared the same way on a few fuzz seeds.
 """
 

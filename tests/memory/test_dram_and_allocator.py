@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.config import GPUConfig
-from repro.memory.address_space import PAGE_SIZE, AddressSpace, PageTable
+from repro.memory.address_space import PAGE_SIZE, AddressSpace
 from repro.memory.allocator import AllocationError, GPUMemoryAllocator
 from repro.memory.dram import DRAMModel
 
@@ -52,31 +57,6 @@ class TestDRAM:
             dram.transfer_time_us(100, bandwidth_share=0.0)
 
 
-class TestPageTable:
-    def test_map_translate_unmap(self):
-        table = PageTable(context_id=1)
-        table.map(0x10, 0x99)
-        address = 0x10 * PAGE_SIZE + 123
-        assert table.translate(address) == 0x99 * PAGE_SIZE + 123
-        assert table.is_mapped(address)
-        table.unmap(0x10)
-        assert not table.is_mapped(address)
-
-    def test_double_map_rejected(self):
-        table = PageTable(1)
-        table.map(1, 2)
-        with pytest.raises(ValueError):
-            table.map(1, 3)
-
-    def test_unmapped_translation_faults(self):
-        with pytest.raises(KeyError):
-            PageTable(1).translate(0x5000)
-
-    def test_unmap_absent_page_rejected(self):
-        with pytest.raises(KeyError):
-            PageTable(1).unmap(7)
-
-
 class TestAddressSpace:
     def test_allocation_maps_all_pages(self):
         space = AddressSpace(1)
@@ -84,7 +64,44 @@ class TestAddressSpace:
         assert allocation.num_pages == 4
         assert space.allocated_bytes == 3 * PAGE_SIZE + 1
         for offset in range(0, allocation.num_pages * PAGE_SIZE, PAGE_SIZE):
-            assert space.page_table.is_mapped(allocation.virtual_address + offset)
+            assert space.allocation_containing(allocation.virtual_address + offset) is allocation
+
+    def test_translate_round_trips_every_page(self):
+        space = AddressSpace(1)
+        space.record_allocation(PAGE_SIZE, first_frame=3)
+        allocation = space.record_allocation(3 * PAGE_SIZE + 1, first_frame=0x99)
+        for page in range(allocation.num_pages):
+            for offset in (0, 123, PAGE_SIZE - 1):
+                address = allocation.virtual_address + page * PAGE_SIZE + offset
+                assert space.translate(address) == (0x99 + page) * PAGE_SIZE + offset
+
+    def test_translate_faults_one_byte_past_last_page(self):
+        space = AddressSpace(1)
+        allocation = space.record_allocation(3 * PAGE_SIZE + 1, first_frame=0)
+        end = allocation.virtual_address + allocation.num_pages * PAGE_SIZE
+        assert space.translate(end - 1) == end - 1 - allocation.virtual_address
+        with pytest.raises(KeyError, match="page fault"):
+            space.translate(end)
+        with pytest.raises(KeyError, match="page fault"):
+            space.translate(allocation.virtual_address - 1)
+
+    def test_translate_faults_after_remove_allocation(self):
+        space = AddressSpace(1)
+        allocation = space.record_allocation(2 * PAGE_SIZE, first_frame=5)
+        space.remove_allocation(allocation.virtual_address)
+        for offset in (0, PAGE_SIZE, 2 * PAGE_SIZE - 1):
+            with pytest.raises(KeyError, match="page fault"):
+                space.translate(allocation.virtual_address + offset)
+
+    def test_remove_absent_address_rejected(self):
+        space = AddressSpace(1)
+        with pytest.raises(KeyError):
+            space.remove_allocation(AddressSpace.BASE_VIRTUAL_ADDRESS)
+        allocation = space.record_allocation(2 * PAGE_SIZE, first_frame=0)
+        # Only an allocation's start address names it.
+        with pytest.raises(KeyError):
+            space.remove_allocation(allocation.virtual_address + PAGE_SIZE)
+        assert space.allocation_containing(allocation.virtual_address) is allocation
 
     def test_allocations_do_not_overlap(self):
         space = AddressSpace(1)
@@ -96,7 +113,7 @@ class TestAddressSpace:
         space = AddressSpace(1)
         allocation = space.record_allocation(PAGE_SIZE, first_frame=0)
         space.remove_allocation(allocation.virtual_address)
-        assert not space.page_table.is_mapped(allocation.virtual_address)
+        assert space.allocation_containing(allocation.virtual_address) is None
         with pytest.raises(KeyError):
             space.remove_allocation(allocation.virtual_address)
 
@@ -118,8 +135,8 @@ class TestAllocator:
         assert a.first_frame != b.first_frame
         assert allocator.frame_owner(a.first_frame) == 1
         assert allocator.frame_owner(b.first_frame) == 2
-        physical_a = allocator.address_space(1).page_table.translate(a.virtual_address)
-        physical_b = allocator.address_space(2).page_table.translate(b.virtual_address)
+        physical_a = allocator.address_space(1).translate(a.virtual_address)
+        physical_b = allocator.address_space(2).translate(b.virtual_address)
         assert physical_a != physical_b
 
     def test_out_of_memory_raises_allocation_error(self, allocator, gpu_config):
@@ -135,3 +152,96 @@ class TestAllocator:
     def test_invalid_sizes_rejected(self, allocator):
         with pytest.raises(ValueError):
             allocator.malloc(1, 0)
+
+    def test_large_malloc_keeps_no_per_page_state(self, allocator):
+        # One GiB is 262,144 pages: per-page bookkeeping would take megabytes.
+        tracemalloc.start()
+        try:
+            allocator.malloc(1, 1 << 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+CONTEXTS = (1, 2, 3)
+_malloc = st.tuples(st.just("malloc"), st.sampled_from(CONTEXTS), st.integers(1, 3 * PAGE_SIZE))
+_free = st.tuples(st.just("free"), st.sampled_from(CONTEXTS), st.integers(0, 7))
+_destroy = st.tuples(st.just("destroy"), st.sampled_from(CONTEXTS), st.just(0))
+# malloc is listed twice so that address spaces tend to grow between frees.
+MEMORY_OPS = st.lists(st.one_of(_malloc, _malloc, _free, _destroy), max_size=24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=MEMORY_OPS)
+def test_range_lookups_match_a_per_page_model(ops):
+    """Random malloc/free/destroy sequences against a brute-force page model.
+
+    The model maps every virtual page and frame explicitly; after each step
+    the allocator's range lookups must agree with it at every page either
+    has ever used, and no frame may belong to two live allocations.
+    """
+    dram = DRAMModel(GPUConfig())
+    allocator = GPUMemoryAllocator(dram)
+    pages = {ctx: {} for ctx in CONTEXTS}  # ctx -> virtual page -> frame
+    owner = {}  # live frame -> ctx
+    live = {ctx: [] for ctx in CONTEXTS}  # ctx -> live allocations, oldest first
+    probes = {ctx: set() for ctx in CONTEXTS}  # ctx -> virtual pages to check
+    frames_used = 0
+
+    def forget(ctx, allocation):
+        first_page = allocation.virtual_address // PAGE_SIZE
+        for i in range(allocation.num_pages):
+            del pages[ctx][first_page + i]
+            del owner[allocation.first_frame + i]
+
+    for kind, ctx, arg in ops:
+        if kind == "malloc":
+            allocation = allocator.malloc(ctx, arg)
+            assert allocation.num_pages == -(-arg // PAGE_SIZE)
+            first_page = allocation.virtual_address // PAGE_SIZE
+            for i in range(allocation.num_pages):
+                assert first_page + i not in pages[ctx]
+                assert allocation.first_frame + i not in owner
+                pages[ctx][first_page + i] = allocation.first_frame + i
+                owner[allocation.first_frame + i] = ctx
+            live[ctx].append(allocation)
+            probes[ctx].update(range(first_page - 1, first_page + allocation.num_pages + 1))
+            frames_used = max(frames_used, allocation.first_frame + allocation.num_pages)
+        elif kind == "free" and live[ctx]:
+            allocation = live[ctx].pop(arg % len(live[ctx]))
+            allocator.free(ctx, allocation.virtual_address)
+            forget(ctx, allocation)
+        elif kind == "free":
+            with pytest.raises(KeyError):
+                allocator.free(ctx, AddressSpace.BASE_VIRTUAL_ADDRESS)
+        else:
+            allocator.destroy_address_space(ctx)
+            for allocation in live[ctx]:
+                forget(ctx, allocation)
+            live[ctx] = []
+
+        assert dram.allocated_bytes == len(owner) * PAGE_SIZE
+        for frame in range(frames_used + 1):
+            assert allocator.frame_owner(frame) == owner.get(frame)
+        spaces = {ctx: allocator.address_space(ctx) for ctx in CONTEXTS}
+        frame_uses = Counter(
+            allocation.first_frame + i
+            for space in spaces.values()
+            for allocation in space.allocations()
+            for i in range(allocation.num_pages)
+        )
+        assert set(frame_uses) == set(owner)
+        assert all(uses == 1 for uses in frame_uses.values())
+        for ctx, space in spaces.items():
+            assert list(space.allocations()) == live[ctx]
+            for page in probes[ctx]:
+                frame = pages[ctx].get(page)
+                for offset in (0, PAGE_SIZE - 1):
+                    address = page * PAGE_SIZE + offset
+                    assert allocator.owns(ctx, address) is (frame is not None)
+                    if frame is None:
+                        with pytest.raises(KeyError, match="page fault"):
+                            space.translate(address)
+                    else:
+                        assert space.translate(address) == frame * PAGE_SIZE + offset

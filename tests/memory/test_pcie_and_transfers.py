@@ -58,7 +58,6 @@ class TestTransferEngine:
         engine.submit(first)
         engine.submit(second)
         simulator.run()
-        assert engine.completed_transfers == [first, second]
         assert first.completion_time_us < second.completion_time_us
 
     def test_priority_policy_reorders_waiting_transfers(self, simulator, pcie):
@@ -70,10 +69,7 @@ class TestTransferEngine:
         engine.submit(low)
         engine.submit(high)
         simulator.run()
-        completed = engine.completed_transfers
-        assert completed[0] is running
-        assert completed[1] is high
-        assert completed[2] is low
+        assert running.completion_time_us < high.completion_time_us < low.completion_time_us
 
     def test_opposite_directions_overlap(self, simulator, pcie):
         engine = DataTransferEngine(simulator, pcie)
