@@ -66,6 +66,10 @@ class _EpochRun:
         )
         if self.system.telemetry is not None:
             self.system.telemetry.gpu_id = self.gpu_id
+        #: Observer target, kept in sync by ``GPUSystem._rewire_observers``.
+        self.observer = None
+        self.system.serving = self
+        self.system._rewire_observers()  # noqa: SLF001 - as ServingDriver does
         self._tenants = self.spec.tenant_contexts(self.system, runner.suite)
 
         self._batch = [
@@ -141,8 +145,8 @@ class _EpochRun:
             context, kernel_spec, priority=request.priority
         )
         self._inflight += 1
-        if self.system.telemetry is not None:
-            self.system.telemetry.on_request_admitted(request, now)
+        if self.observer is not None:
+            self.observer.on_request_admitted(request, now)
         command.subscribe_completion(
             lambda done_us, request=request: self._on_complete(request, done_us)
         )
@@ -150,8 +154,8 @@ class _EpochRun:
     def _on_complete(self, request: Request, now: float) -> None:
         request.complete_us = now
         self._inflight -= 1
-        if self.system.telemetry is not None:
-            self.system.telemetry.on_request_completed(request, now)
+        if self.observer is not None:
+            self.observer.on_request_completed(request, now)
         self._completions.append(
             {
                 "request_id": request.request_id,

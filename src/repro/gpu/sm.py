@@ -221,7 +221,7 @@ class StreamingMultiprocessor:
         Called by the SM driver at the end of the setup latency.  The SM must
         not be holding blocks from a previous kernel.
         """
-        if self._resident:
+        if not self.is_empty:
             raise RuntimeError(f"SM{self.sm_id}: configure() while thread blocks are resident")
         self.ksr_index = ksr_index
         self.context_id_register = context_id
@@ -235,7 +235,7 @@ class StreamingMultiprocessor:
 
     def release(self) -> None:
         """Clear the SM's kernel/context registers and return it to IDLE."""
-        if self._resident:
+        if not self.is_empty:
             raise RuntimeError(f"SM{self.sm_id}: release() while thread blocks are resident")
         self.ksr_index = None
         self.context_id_register = None

@@ -28,8 +28,9 @@ bounds); it JSON-round-trips every checkpoint to prove serialisability.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.registry import ARRIVALS
 from repro.scenario import ScenarioSpec
@@ -213,38 +214,59 @@ class ServingSpec:
         return contexts
 
 
-#: Keys every serving checkpoint carries (``obs`` is optional), and per tenant.
-_CHECKPOINT_KEYS = (
-    "clock_us", "request_seq", "events_processed", "queue_counters", "metrics", "tenants"
-)
-_TENANT_STATE_KEYS = ("process", "next_arrival_us", "count")
+#: What a checkpoint field must be: (test, description).
+_MAPPING = (lambda value: isinstance(value, Mapping), "a mapping")
+_COUNT = (lambda value: type(value) is int and value >= 0, "a non-negative integer")
+_NUMBER = (lambda value: type(value) in (int, float), "a number")
+_FINITE = (lambda value: type(value) in (int, float) and math.isfinite(value), "finite")
+
+
+def _field(
+    section: Mapping[str, Any], prefix: str, key: str, rule: Tuple[Callable[[Any], bool], str]
+) -> Any:
+    """``section[key]``; raises a :class:`ValueError` naming ``prefix + key``
+    when it is missing or breaks ``rule``."""
+    if key not in section:
+        raise ValueError(f"serving checkpoint is missing {prefix}{key}")
+    valid, kind = rule
+    if not valid(section[key]):
+        raise ValueError(f"serving checkpoint {prefix}{key} must be {kind}: {section[key]!r}")
+    return section[key]
 
 
 def _check_checkpoint(state: Mapping[str, Any], spec: ServingSpec) -> None:
     """Raise :class:`ValueError` for a checkpoint that cannot continue ``spec``'s run.
 
-    :meth:`GPUSystem.from_scenario` checks the clock and the launch base.
+    :meth:`GPUSystem.from_scenario` checks the clock's range and the launch
+    base; :func:`_restored` reports states that fail to restore.
     """
-    if int(state.get("schema", -1)) != CHECKPOINT_SCHEMA:
+    if state.get("schema") != CHECKPOINT_SCHEMA:
         raise ValueError(f"unsupported serving checkpoint schema {state.get('schema')!r}")
-    tenants = state.get("tenants", {})
-    missing = [key for key in _CHECKPOINT_KEYS if key not in state] + [
-        f"tenants.{name}.{key}"
-        for name, tstate in tenants.items()
-        for key in _TENANT_STATE_KEYS
-        if key not in tstate
-    ]
-    if missing:
-        raise ValueError(f"serving checkpoint is missing {missing}")
+    _field(state, "", "clock_us", _NUMBER)
+    for key in ("request_seq", "events_processed"):
+        _field(state, "", key, _COUNT)
+    _field(state, "", "metrics", _MAPPING)
+    counters = _field(state, "", "queue_counters", _MAPPING)
+    for key in ("arrived", "admitted", "dropped", "backpressure_events", "peak_depth"):
+        _field(counters, "queue_counters.", key, _COUNT)
+    tenants = _field(state, "", "tenants", _MAPPING)
     expected = sorted(tenant.name for tenant in spec.tenants)
     if sorted(tenants) != expected:
         raise ValueError(f"checkpoint tenants {sorted(tenants)} are not {expected}")
-    counts = {f"tenants.{name}.count": t["count"] for name, t in tenants.items()}
-    for key in ("arrived", "admitted", "dropped"):
-        counts[f"queue_counters.{key}"] = state["queue_counters"][key]
-    negative = [key for key, value in counts.items() if int(value) < 0]
-    if negative:
-        raise ValueError(f"serving checkpoint has negative {negative}")
+    for name in expected:
+        tenant = _field(tenants, "tenants.", name, _MAPPING)
+        _field(tenant, f"tenants.{name}.", "process", _MAPPING)
+        _field(tenant, f"tenants.{name}.", "next_arrival_us", _FINITE)
+        _field(tenant, f"tenants.{name}.", "count", _COUNT)
+
+
+def _restored(section: str, restore: Callable[[Any], Any], state: Any) -> Any:
+    """``restore(state)``, reporting a state that fails to restore as a
+    :class:`ValueError` naming ``section``."""
+    try:
+        return restore(state)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"serving checkpoint {section} cannot be restored: {exc!r}") from exc
 
 
 @dataclass
@@ -293,7 +315,9 @@ class ServingDriver:
         state = checkpoint
         if state is not None:
             _check_checkpoint(state, spec)
-            self.queue.counters = QueueCounters.from_dict(state["queue_counters"])
+            self.queue.counters = _restored(
+                "queue_counters", QueueCounters.from_dict, state["queue_counters"]
+            )
         start_us = float(state["clock_us"]) if state else 0.0
         self.system = GPUSystem.from_scenario(
             scenario,
@@ -310,7 +334,7 @@ class ServingDriver:
         self.system._rewire_observers()  # noqa: SLF001 - observers pre-date us
 
         if state:
-            self.metrics = ServingMetrics.restore(state["metrics"])
+            self.metrics = _restored("metrics", ServingMetrics.restore, state["metrics"])
             self._request_seq = int(state["request_seq"])
             self._events_before = int(state["events_processed"])
         else:
@@ -340,7 +364,7 @@ class ServingDriver:
             )
             if state:
                 tstate = state["tenants"][tenant.name]
-                process.restore(tstate["process"])
+                _restored(f"tenants.{tenant.name}.process", process.restore, tstate["process"])
                 runtime.next_arrival_us = float(tstate["next_arrival_us"])
                 runtime.count = int(tstate["count"])
                 # An arrival past the horizon is never scheduled, so a drained

@@ -18,9 +18,10 @@ for throughput while keeping the observable contract bit-for-bit stable:
   C-level tuple comparison, and the unique per-simulator ``seq`` guarantees
   comparisons never reach the :class:`~repro.sim.events.Event` object (a
   plain ``__slots__`` class).
-* :meth:`schedule_at` and the :meth:`run` loop take a no-observer fast path:
-  the per-event observer fan-out costs one attribute check unless an
-  observer (validation, telemetry) is actually attached.
+* Like every instrumented component, the simulator has one None-gated
+  ``observer`` slot (see :mod:`repro.sim.observers`), filled only when an
+  installed observer implements the per-event hooks: :meth:`schedule_at` and
+  the :meth:`run` loop otherwise pay one attribute check.
 * Cancelled events are discarded lazily when they reach the head of the
   heap; when too many dead entries accumulate (cancellation-heavy preemption
   scenarios), the heap is compacted in place so memory and pop cost stay
@@ -80,7 +81,10 @@ class Simulator:
         self._live_events = 0
         #: Cancelled events still sitting in the heap (compaction trigger).
         self._dead_entries = 0
-        self._observers: list = []
+        #: Optional observer notified on every scheduled and fired event
+        #: (``on_event_scheduled`` / ``on_event_fired``).  It must only
+        #: *observe*: runs are byte-identical with and without it.
+        self.observer = None
         self.events_processed = 0
         self.events_scheduled = 0
         self.events_cancelled = 0
@@ -150,9 +154,8 @@ class Simulator:
         self.events_scheduled += 1
         if len(heap) > self.peak_heap_entries:
             self.peak_heap_entries = len(heap)
-        if self._observers:
-            for observer in self._observers:
-                observer.on_event_scheduled(event, self._now)
+        if self.observer is not None:
+            self.observer.on_event_scheduled(event, self._now)
         return EventHandle(event)
 
     def cancel(self, handle: EventHandle) -> None:
@@ -185,24 +188,6 @@ class Simulator:
         self.compactions += 1
 
     # ------------------------------------------------------------------
-    # Observers
-    # ------------------------------------------------------------------
-    def add_observer(self, observer) -> None:
-        """Attach an observer notified of event scheduling and firing.
-
-        Observers expose ``on_event_scheduled(event, now)`` and
-        ``on_event_fired(event, previous_now)``.  They must only *observe*:
-        the validation layer relies on observers never perturbing simulation
-        state, so that runs are byte-identical with and without them.
-        """
-        self._observers.append(observer)
-
-    def remove_observer(self, observer) -> None:
-        """Detach a previously attached observer (idempotent)."""
-        if observer in self._observers:
-            self._observers.remove(observer)
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _fire(self, entry) -> None:
@@ -220,9 +205,8 @@ class Simulator:
         metrics = self.metrics
         if metrics is not None:
             metrics.on_event(entry[0], event.label)
-        if self._observers:
-            for observer in self._observers:
-                observer.on_event_fired(event, previous_now)
+        if self.observer is not None:
+            self.observer.on_event_fired(event, previous_now)
         profiler = self.profiler
         if profiler is None:
             event.callback()

@@ -1,39 +1,35 @@
-"""Instrumentation-observer vocabulary shared by validation and telemetry.
+"""The instrumentation-observer vocabulary, written once.
 
 The simulator and the hardware models (SMs, execution engine, command
-dispatcher, host CPU) each expose a single optional ``observer`` attribute
-that is notified at instrumentation points.  Observers must only *observe*:
-both the validation layer (:mod:`repro.validation`) and the telemetry
-subsystem (:mod:`repro.telemetry`) rely on a run with observers attached
-being byte-identical to the same run without them.
+dispatcher, host CPU, open-loop drivers) each expose a single optional
+``observer`` attribute that is notified at instrumentation points.  Observers
+must only *observe*: both the validation layer (:mod:`repro.validation`) and
+the telemetry subsystem (:mod:`repro.telemetry`) rely on a run with observers
+attached being byte-identical to the same run without them.
 
-Two helpers live here:
-
-* :class:`BaseObserver` — the full hook vocabulary as no-ops, so an observer
-  implements only the hooks it cares about and keeps working when new hooks
-  are added.
-* :class:`CompositeObserver` — fans every hook out to several observers, so
-  the validation hub and a trace collector can be attached to the same run
-  (``--validate --trace``) while the hot paths keep their cheap single
-  ``observer`` attribute.
+* :class:`BaseObserver` is the one place the hook vocabulary is written: every
+  hook as a no-op, so an observer overrides only the hooks it needs, and
+  adding a hook is one method here.
+* :class:`CompositeObserver` fans the hooks out to several observers (the
+  validation checkers and a trace collector under ``--validate --trace``).
+  Its forwarders are built once, from the hooks each child implements, so
+  the fan-out adds a call only where several children share a hook, and
+  the components keep their cheap single ``observer`` attribute.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from functools import lru_cache
+from typing import Callable, FrozenSet, Iterable, List
 
 
 class BaseObserver:
     """No-op implementation of every instrumentation hook.
 
-    Subclass and override the hooks you need.  ``wants_simulator_events``
-    lets high-rate simulator hooks (one call per scheduled/fired event) be
-    skipped entirely for observers that only consume component hooks.
+    Subclass and override the hooks you need.  The simulator's high-rate
+    hooks (one call per scheduled/fired event) are wired only to observers
+    that override one of them.
     """
-
-    #: Whether :meth:`repro.system.GPUSystem.install_observer` should also
-    #: register the observer on the simulator's per-event hooks.
-    wants_simulator_events: bool = True
 
     # -- simulator ------------------------------------------------------
     def on_event_scheduled(self, event, now) -> None:
@@ -106,90 +102,62 @@ class BaseObserver:
         """A request was dropped by the admission policy."""
 
 
+#: Every hook name, in declaration order.
+HOOKS = tuple(name for name in vars(BaseObserver) if name.startswith("on_"))
+
+
+@lru_cache(maxsize=256)
+def _class_hooks(cls: type) -> FrozenSet[str]:
+    """The hooks ``cls`` overrides (for a duck-typed class: defines)."""
+    return frozenset(
+        hook for hook in HOOKS
+        if getattr(cls, hook, None) not in (None, getattr(BaseObserver, hook))
+    )
+
+
+def implemented_hooks(observer: object) -> FrozenSet[str]:
+    """The hooks ``observer`` implements; a composite's are its children's."""
+    if isinstance(observer, CompositeObserver):
+        return observer.hooks
+    return _class_hooks(type(observer))
+
+
+def _fan_out(methods: List[Callable[..., None]]) -> Callable[..., None]:
+    """One hook forwarder calling ``methods`` in order."""
+
+    def forward(*args) -> None:
+        for method in methods:
+            method(*args)
+
+    return forward
+
+
 class CompositeObserver(BaseObserver):
-    """Forwards every hook to each of its child observers, in order."""
+    """Forwards each hook to the children that implement it, in order.
+
+    A hook no child implements stays the inherited no-op, a hook one child
+    implements is that child's bound method, and a hook several children
+    implement calls them in install order.
+    """
 
     def __init__(self, observers: Iterable[object]):
         self._observers: List[object] = list(observers)
+        implemented = [implemented_hooks(observer) for observer in self._observers]
+        #: The hooks at least one child implements.
+        self.hooks: FrozenSet[str] = frozenset().union(*implemented)
+        for hook in HOOKS:
+            methods = [
+                getattr(observer, hook)
+                for observer, own in zip(self._observers, implemented)
+                if hook in own
+            ]
+            if methods:
+                setattr(self, hook, methods[0] if len(methods) == 1 else _fan_out(methods))
 
     @property
     def observers(self) -> List[object]:
         """The child observers (in notification order)."""
         return list(self._observers)
 
-    # The forwarding methods are written out (instead of a __getattr__
-    # trampoline) because they sit on simulation hot paths.
-    def on_sm_configured(self, sm) -> None:
-        for observer in self._observers:
-            observer.on_sm_configured(sm)
 
-    def on_sm_released(self, sm) -> None:
-        for observer in self._observers:
-            observer.on_sm_released(sm)
-
-    def on_block_started(self, sm, block) -> None:
-        for observer in self._observers:
-            observer.on_block_started(sm, block)
-
-    def on_block_completed(self, sm, block) -> None:
-        for observer in self._observers:
-            observer.on_block_completed(sm, block)
-
-    def on_blocks_evicted(self, sm, blocks) -> None:
-        for observer in self._observers:
-            observer.on_blocks_evicted(sm, blocks)
-
-    def on_sm_reserved(self, sm, next_ksr_index, mechanism) -> None:
-        for observer in self._observers:
-            observer.on_sm_reserved(sm, next_ksr_index, mechanism)
-
-    def on_kernel_activated(self, entry) -> None:
-        for observer in self._observers:
-            observer.on_kernel_activated(entry)
-
-    def on_preemption_complete(self, sm, evicted_blocks, mechanism) -> None:
-        for observer in self._observers:
-            observer.on_preemption_complete(sm, evicted_blocks, mechanism)
-
-    def on_kernel_finished(self, launch) -> None:
-        for observer in self._observers:
-            observer.on_kernel_finished(launch)
-
-    def on_command_enqueued(self, queue_id, command) -> None:
-        for observer in self._observers:
-            observer.on_command_enqueued(queue_id, command)
-
-    def on_command_issued(self, queue_id, command) -> None:
-        for observer in self._observers:
-            observer.on_command_issued(queue_id, command)
-
-    def on_command_completed(self, queue_id, command_id) -> None:
-        for observer in self._observers:
-            observer.on_command_completed(queue_id, command_id)
-
-    def on_cpu_phase_started(self, duration_us, label) -> None:
-        for observer in self._observers:
-            observer.on_cpu_phase_started(duration_us, label)
-
-    def on_cpu_phase_finished(self, label) -> None:
-        for observer in self._observers:
-            observer.on_cpu_phase_finished(label)
-
-    def on_request_arrived(self, request, now) -> None:
-        for observer in self._observers:
-            observer.on_request_arrived(request, now)
-
-    def on_request_admitted(self, request, now) -> None:
-        for observer in self._observers:
-            observer.on_request_admitted(request, now)
-
-    def on_request_completed(self, request, now) -> None:
-        for observer in self._observers:
-            observer.on_request_completed(request, now)
-
-    def on_request_dropped(self, request, now) -> None:
-        for observer in self._observers:
-            observer.on_request_dropped(request, now)
-
-
-__all__ = ["BaseObserver", "CompositeObserver"]
+__all__ = ["BaseObserver", "CompositeObserver", "HOOKS", "implemented_hooks"]

@@ -37,6 +37,7 @@ from repro.memory.dram import DRAMModel
 from repro.memory.pcie import PCIeBus
 from repro.memory.transfer_engine import DataTransferEngine, TransferSchedulingPolicy
 from repro.sim.engine import Simulator
+from repro.sim.observers import CompositeObserver, implemented_hooks
 from repro.trace.schema import ApplicationTrace
 
 
@@ -113,8 +114,9 @@ class GPUSystem:
         )
         self.processes: List[HostProcess] = []
         self._process_index: Dict[str, HostProcess] = {}
-        #: Open-loop serving driver, when one is attached (see
-        #: :class:`repro.serving.ServingDriver`); observed like any component.
+        #: Open-loop driver, when one is attached (a
+        #: :class:`repro.serving.ServingDriver` or a fleet epoch run); its
+        #: ``observer`` slot is wired like any component's.
         self.serving = None
         #: Minimum completed iterations per process before :meth:`run` with
         #: ``stop_after_min_iterations`` halts the simulation.
@@ -177,8 +179,8 @@ class GPUSystem:
     # ------------------------------------------------------------------
     # Instrumentation observers
     # ------------------------------------------------------------------
-    def install_observer(self, observer) -> None:
-        """Attach ``observer`` to every instrumented component of the system.
+    def install_observer(self, *observers) -> None:
+        """Attach ``observers`` to every instrumented component of the system.
 
         Observers (see :class:`repro.sim.observers.BaseObserver` for the hook
         vocabulary) must only observe — never schedule events or mutate model
@@ -187,18 +189,19 @@ class GPUSystem:
         :class:`~repro.sim.observers.CompositeObserver`, keeping the
         single-observer hot path a plain attribute check.
         """
-        if any(existing is observer for existing in self._component_observers):
-            raise ValueError("observer is already installed")
-        if getattr(observer, "wants_simulator_events", True):
-            self.simulator.add_observer(observer)
-        self._component_observers.append(observer)
+        installed = list(self._component_observers)
+        for observer in observers:
+            if any(existing is observer for existing in installed):
+                raise ValueError("observer is already installed")
+            installed.append(observer)
+        self._component_observers = installed
         self._rewire_observers()
 
-    def uninstall_observer(self, observer) -> None:
-        """Detach a previously installed observer (idempotent)."""
-        self.simulator.remove_observer(observer)
+    def uninstall_observer(self, *observers) -> None:
+        """Detach previously installed observers (idempotent)."""
         self._component_observers = [
-            existing for existing in self._component_observers if existing is not observer
+            existing for existing in self._component_observers
+            if all(existing is not observer for observer in observers)
         ]
         self._rewire_observers()
 
@@ -209,9 +212,10 @@ class GPUSystem:
         elif len(observers) == 1:
             target = observers[0]
         else:
-            from repro.sim.observers import CompositeObserver
-
             target = CompositeObserver(observers)
+        # The simulator's per-event hooks are wired only to observers of them.
+        events = implemented_hooks(target) & {"on_event_scheduled", "on_event_fired"}
+        self.simulator.observer = target if events else None
         self.execution_engine.observer = target
         for sm in self.execution_engine.sms():
             sm.observer = target

@@ -9,9 +9,9 @@ dispatch/finish (with per-SM residency), the full preemption lifecycle
 transfers and host CPU phases.
 
 The collector is a pure observer — a traced run is byte-identical to an
-untraced one — and it skips the simulator's high-rate per-event hooks
-entirely (``wants_simulator_events = False``), so its cost is one method
-call plus one dataclass append per *model-level* event.
+untraced one — and it implements none of the simulator's high-rate per-event
+hooks, so it is never wired to them: its cost is one method call plus one
+dataclass append per *model-level* event.
 
 Identifiers are normalised to run-local dense indices (see
 :meth:`TraceCollector._command_ref`), so the trace of a scenario does not
@@ -30,8 +30,6 @@ from repro.telemetry.events import TraceEvent
 
 class TraceCollector(BaseObserver):
     """Records structured trace events from a running system."""
-
-    wants_simulator_events = False
 
     def __init__(self, *, gpu_id: Optional[int] = None) -> None:
         #: Fleet member id stamped on every event (``None`` = single-GPU run,

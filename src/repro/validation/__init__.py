@@ -13,7 +13,10 @@ core conservation laws while it executes:
 * simulation time is monotone and no event fires in the past,
 * per-process iteration metrics are internally consistent.
 
-Checkers observe, they never perturb: a run with validation enabled produces
+Checkers are observers (:class:`~repro.sim.observers.BaseObserver`
+subclasses that override only their own hooks); the hub is their container,
+installing them on the system and collecting their findings.  Checkers
+observe, they never perturb: a run with validation enabled produces
 byte-identical results to the same run without it.  Violations are recorded
 (not raised) and surfaced through :class:`repro.runner.RunRecord`.
 """

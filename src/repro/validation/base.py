@@ -1,15 +1,17 @@
 """Invariant-validation primitives: violations, checkers and the hub.
 
-The validation layer is a pure *observer* of a running
-:class:`~repro.system.GPUSystem`: the simulator, SMs, command dispatcher and
-execution engine expose instrumentation hooks (an ``observer`` attribute /
-:meth:`~repro.sim.engine.Simulator.add_observer`), and the
-:class:`ValidationHub` fans every hook out to a set of pluggable
-:class:`InvariantChecker` instances.  Checkers assert the simulator's core
-conservation laws — blocks complete exactly once, occupancy limits hold,
-preempted state balances, time is monotone, per-process metrics are
-consistent — and *record* :class:`Violation` values instead of raising, so a
-single run can surface every broken invariant at once.
+Checkers are observers: :class:`InvariantChecker` subclasses
+:class:`~repro.sim.observers.BaseObserver`, so the hook vocabulary is written
+once, and each checker overrides only the hooks it needs.  The simulator, SMs,
+command dispatcher and execution engine call those hooks directly (through
+one :class:`~repro.sim.observers.CompositeObserver` when several observers are
+installed).  Checkers assert the simulator's core conservation laws — blocks
+complete exactly once, occupancy limits hold, preempted state balances, time
+is monotone, per-process metrics are consistent — and *record*
+:class:`Violation` values instead of raising, so a single run can surface
+every broken invariant at once.  The :class:`ValidationHub` is their
+container: it installs them, runs their end-of-run pass and collects the
+violations.
 
 Checkers must never mutate simulation state or schedule events: a run with
 validation enabled is byte-identical to the same run without it.
@@ -20,12 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from repro.sim.observers import BaseObserver
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.gpu.command_queue import Command
-    from repro.gpu.kernel import KernelLaunch
-    from repro.gpu.sm import StreamingMultiprocessor
-    from repro.gpu.thread_block import ThreadBlock
-    from repro.sim.events import Event
     from repro.system import GPUSystem
 
 
@@ -64,13 +63,13 @@ class InvariantValidationError(AssertionError):
         super().__init__(f"{len(violations)} invariant violation(s):\n{lines}")
 
 
-class InvariantChecker:
+class InvariantChecker(BaseObserver):
     """Base class for pluggable invariant checkers.
 
-    Every hook defaults to a no-op; subclasses override the ones they need
-    and call :meth:`record` when an invariant is broken.  A checker instance
-    belongs to exactly one run: :meth:`attach` binds it to the system under
-    observation.
+    Every hook defaults to the :class:`BaseObserver` no-op; subclasses
+    override the ones they need and call :meth:`record` when an invariant is
+    broken.  A checker instance belongs to exactly one run: :meth:`attach`
+    binds it to the system under observation.
     """
 
     #: Checker name used in reports (defaults to the class name).
@@ -118,95 +117,13 @@ class InvariantChecker:
             Violation(checker=self.name, invariant=invariant, time_us=time_us, message=message)
         )
 
-    # ------------------------------------------------------------------
-    # Simulator hooks
-    # ------------------------------------------------------------------
-    def on_event_scheduled(self, event: "Event", now: float) -> None:
-        """An event was pushed onto the simulator heap."""
-
-    def on_event_fired(self, event: "Event", previous_now: float) -> None:
-        """An event is about to execute (the clock just advanced to it)."""
-
-    # ------------------------------------------------------------------
-    # SM hooks
-    # ------------------------------------------------------------------
-    def on_sm_configured(self, sm: "StreamingMultiprocessor") -> None:
-        """An SM finished setup for a kernel."""
-
-    def on_sm_released(self, sm: "StreamingMultiprocessor") -> None:
-        """An SM was released back to the idle pool."""
-
-    def on_block_started(self, sm: "StreamingMultiprocessor", block: "ThreadBlock") -> None:
-        """A thread block became resident on ``sm``."""
-
-    def on_block_completed(self, sm: "StreamingMultiprocessor", block: "ThreadBlock") -> None:
-        """A resident thread block finished execution."""
-
-    def on_blocks_evicted(self, sm: "StreamingMultiprocessor", blocks: List["ThreadBlock"]) -> None:
-        """Resident blocks were evicted by the context-switch mechanism."""
-
-    # ------------------------------------------------------------------
-    # Execution-engine hooks
-    # ------------------------------------------------------------------
-    def on_sm_reserved(self, sm: "StreamingMultiprocessor", next_ksr_index, mechanism) -> None:
-        """The scheduling policy reserved ``sm`` (preemption request).
-
-        ``mechanism`` is the preemption mechanism the engine's controller
-        chose for this request (mechanisms are selected per preemption).
-        """
-
-    def on_kernel_activated(self, entry) -> None:
-        """A buffered kernel command was admitted into the KSRT."""
-
-    def on_preemption_complete(
-        self, sm: "StreamingMultiprocessor", evicted_blocks: List["ThreadBlock"], mechanism
-    ) -> None:
-        """A preemption mechanism finished freeing ``sm``."""
-
-    def on_kernel_finished(self, launch: "KernelLaunch") -> None:
-        """Every thread block of an active kernel completed."""
-
-    # ------------------------------------------------------------------
-    # Dispatcher hooks
-    # ------------------------------------------------------------------
-    def on_command_enqueued(self, queue_id: int, command: "Command") -> None:
-        """A command entered a hardware queue."""
-
-    def on_command_issued(self, queue_id: int, command: "Command") -> None:
-        """The dispatcher issued a command to an engine."""
-
-    def on_command_completed(self, queue_id: int, command_id: int) -> None:
-        """An in-flight command completed and re-enabled its queue."""
-
-    # ------------------------------------------------------------------
-    # Host CPU hooks
-    # ------------------------------------------------------------------
-    def on_cpu_phase_started(self, duration_us: float, label: str) -> None:
-        """A CPU phase started executing on a hardware thread."""
-
-    def on_cpu_phase_finished(self, label: str) -> None:
-        """A CPU phase finished and freed its hardware thread."""
-
-    # -- open-loop serving ----------------------------------------------
-    def on_request_arrived(self, request, now) -> None:
-        """An open-loop request arrived at the ingress queue."""
-
-    def on_request_admitted(self, request, now) -> None:
-        """A queued request was admitted and its kernel launched."""
-
-    def on_request_completed(self, request, now) -> None:
-        """An admitted request's kernel completed."""
-
-    def on_request_dropped(self, request, now) -> None:
-        """A request was dropped by the admission policy."""
-
 
 class ValidationHub:
-    """Fans instrumentation hooks out to a set of invariant checkers.
+    """The container of a run's invariant checkers.
 
-    The hub is the single object installed as the observer of the simulator,
-    every SM, the command dispatcher and the execution engine; it simply
-    forwards each hook to every checker.
+    The hub is not an observer itself: :meth:`attach` installs its checkers
+    on the system, and the hub runs their end-of-run pass and collects their
+    violations.
     """
 
     def __init__(self, checkers: List[InvariantChecker]):
@@ -217,31 +134,31 @@ class ValidationHub:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, system: "GPUSystem") -> None:
-        """Install the hub on every instrumented component of ``system``.
+        """Install every checker on the instrumented components of ``system``.
 
-        Installation goes through
-        :meth:`~repro.system.GPUSystem.install_observer`, so the hub composes
-        with other observers (e.g. a telemetry
-        :class:`~repro.telemetry.TraceCollector`) instead of displacing them.
+        One :meth:`~repro.system.GPUSystem.install_observer` call installs
+        them all, so the checkers compose with other observers (e.g. a
+        telemetry :class:`~repro.telemetry.TraceCollector`) instead of
+        displacing them.
         """
         if self._system is not None:
             raise RuntimeError("a ValidationHub can only be attached once")
         self._system = system
-        system.install_observer(self)
+        system.install_observer(*self._checkers)
         for checker in self._checkers:
             checker.attach(system)
 
     def detach(self) -> None:
-        """Remove the hub's hooks from the system it observes.
+        """Uninstall the checkers from the system they observe.
 
-        Recorded violations (and :meth:`finalize`) stay available; the hub
-        simply stops receiving instrumentation callbacks.  Detaching is
+        Recorded violations (and :meth:`finalize`) stay available; the
+        checkers simply stop receiving instrumentation callbacks.  Detaching is
         idempotent; a detached hub cannot be re-attached (checker state is
         bound to the original run).
         """
         if self._system is None:
             raise RuntimeError("cannot detach an unattached ValidationHub")
-        self._system.uninstall_observer(self)
+        self._system.uninstall_observer(*self._checkers)
 
     def finalize(self) -> None:
         """Run every checker's end-of-run pass.
@@ -296,86 +213,3 @@ class ValidationHub:
         if not violations:
             return f"all {len(self._checkers)} invariant checkers passed"
         return f"{len(violations)} invariant violation(s) detected"
-
-    # ------------------------------------------------------------------
-    # Hook fan-out (one forwarding method per instrumentation point)
-    # ------------------------------------------------------------------
-    def on_event_scheduled(self, event, now) -> None:
-        for checker in self._checkers:
-            checker.on_event_scheduled(event, now)
-
-    def on_event_fired(self, event, previous_now) -> None:
-        for checker in self._checkers:
-            checker.on_event_fired(event, previous_now)
-
-    def on_sm_configured(self, sm) -> None:
-        for checker in self._checkers:
-            checker.on_sm_configured(sm)
-
-    def on_sm_released(self, sm) -> None:
-        for checker in self._checkers:
-            checker.on_sm_released(sm)
-
-    def on_block_started(self, sm, block) -> None:
-        for checker in self._checkers:
-            checker.on_block_started(sm, block)
-
-    def on_block_completed(self, sm, block) -> None:
-        for checker in self._checkers:
-            checker.on_block_completed(sm, block)
-
-    def on_blocks_evicted(self, sm, blocks) -> None:
-        for checker in self._checkers:
-            checker.on_blocks_evicted(sm, blocks)
-
-    def on_sm_reserved(self, sm, next_ksr_index, mechanism) -> None:
-        for checker in self._checkers:
-            checker.on_sm_reserved(sm, next_ksr_index, mechanism)
-
-    def on_kernel_activated(self, entry) -> None:
-        for checker in self._checkers:
-            checker.on_kernel_activated(entry)
-
-    def on_preemption_complete(self, sm, evicted_blocks, mechanism) -> None:
-        for checker in self._checkers:
-            checker.on_preemption_complete(sm, evicted_blocks, mechanism)
-
-    def on_kernel_finished(self, launch) -> None:
-        for checker in self._checkers:
-            checker.on_kernel_finished(launch)
-
-    def on_command_enqueued(self, queue_id, command) -> None:
-        for checker in self._checkers:
-            checker.on_command_enqueued(queue_id, command)
-
-    def on_command_issued(self, queue_id, command) -> None:
-        for checker in self._checkers:
-            checker.on_command_issued(queue_id, command)
-
-    def on_command_completed(self, queue_id, command_id) -> None:
-        for checker in self._checkers:
-            checker.on_command_completed(queue_id, command_id)
-
-    def on_cpu_phase_started(self, duration_us, label) -> None:
-        for checker in self._checkers:
-            checker.on_cpu_phase_started(duration_us, label)
-
-    def on_cpu_phase_finished(self, label) -> None:
-        for checker in self._checkers:
-            checker.on_cpu_phase_finished(label)
-
-    def on_request_arrived(self, request, now) -> None:
-        for checker in self._checkers:
-            checker.on_request_arrived(request, now)
-
-    def on_request_admitted(self, request, now) -> None:
-        for checker in self._checkers:
-            checker.on_request_admitted(request, now)
-
-    def on_request_completed(self, request, now) -> None:
-        for checker in self._checkers:
-            checker.on_request_completed(request, now)
-
-    def on_request_dropped(self, request, now) -> None:
-        for checker in self._checkers:
-            checker.on_request_dropped(request, now)

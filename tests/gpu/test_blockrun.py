@@ -135,3 +135,30 @@ def test_single_block_run_label_matches_the_per_block_label(simulator, gpu_confi
     sm.start_run(BlockRun(launch, first, taken, 2.0), extra_latency_us=0.0,
                  on_complete=lambda block: None)
     assert simulator.pending_labels() == ["sm2.block(9, 2).complete"]
+
+
+def test_resident_run_blocks_release_and_configure(simulator, gpu_config):
+    """A resident span holds the SM like resident blocks do."""
+    from repro.gpu.kernel import KernelLaunch, KernelSpec
+    from repro.gpu.resources import ResourceUsage
+    from repro.gpu.sm import SMState
+
+    spec = KernelSpec(
+        name="k", benchmark="b", num_thread_blocks=4, avg_tb_time_us=2.0,
+        usage=ResourceUsage(registers_per_block=1, shared_memory_per_block=0),
+    )
+    launch = KernelLaunch(spec=spec, launch_id=3, context_id=1)
+    first, taken = launch.take_fresh_span(4)
+    sm = StreamingMultiprocessor(0, gpu_config, simulator)
+    setup = dict(
+        ksr_index=0, context_id=1, page_table_base=0x1000,
+        max_resident_blocks=4, shared_memory_config=16 * 1024,
+    )
+    sm.configure(**setup)
+    sm.start_run(BlockRun(launch, first, taken, 2.0), extra_latency_us=0.0,
+                 on_complete=lambda block: None)
+    with pytest.raises(RuntimeError, match="release"):
+        sm.release()
+    with pytest.raises(RuntimeError, match="configure"):
+        sm.configure(**setup)
+    assert sm.state is SMState.RUNNING and sm.resident_blocks == 4

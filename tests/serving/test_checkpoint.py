@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serving.driver import CHECKPOINT_SCHEMA, ServingDriver, run_serving
 
@@ -132,4 +135,51 @@ def test_malformed_checkpoint_is_rejected(checkpoint_at_8ms, edit):
     state = copy.deepcopy(checkpoint_at_8ms)
     mutate(state)
     with pytest.raises(ValueError, match=names):
+        ServingDriver(make_serving_scenario(), checkpoint=state)
+
+
+_TENANTS = (_HP, "syn-11-1#1")
+_NOT_A_NUMBER = (None, "x", [])
+_INVALID = _NOT_A_NUMBER + (-1, 2.5, math.nan, math.inf)
+_SECTIONS = (
+    ("queue_counters",), ("metrics",), ("tenants",),
+    *(("tenants", name) for name in _TENANTS),
+    *(("tenants", name, "process") for name in _TENANTS),
+)
+#: Checkpoint fields (paths into the payload) with the values invalid there;
+#: dropping a field is always invalid.  A negative or non-finite clock is
+#: pinned by MALFORMED above (its error names ``start_time_us``).
+EDITABLE = {
+    ("clock_us",): _NOT_A_NUMBER,
+    ("request_seq",): _INVALID,
+    ("events_processed",): _INVALID,
+    **{("queue_counters", key): _INVALID for key in ("arrived", "admitted", "dropped")},
+    **{
+        ("tenants", name, key): _INVALID
+        for name in _TENANTS
+        for key in ("count", "next_arrival_us")
+    },
+    **{section: _INVALID + ({},) for section in _SECTIONS},
+}
+_DROP = "<drop>"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    edit=st.sampled_from(sorted(EDITABLE)).flatmap(
+        lambda path: st.tuples(st.just(path), st.sampled_from((_DROP, *EDITABLE[path])))
+    )
+)
+def test_one_invalid_field_raises_a_value_error_naming_it(checkpoint_at_8ms, edit):
+    path, value = edit
+    state = copy.deepcopy(checkpoint_at_8ms)
+    *parents, leaf = path
+    section = state
+    for key in parents:
+        section = section[key]
+    if value == _DROP:
+        del section[leaf]
+    else:
+        section[leaf] = value
+    with pytest.raises(ValueError, match=re.escape(leaf)):
         ServingDriver(make_serving_scenario(), checkpoint=state)

@@ -310,12 +310,11 @@ def test_observers_see_scheduling_and_firing(simulator):
         def on_event_fired(self, event, previous_now):
             seen.append(("fired", event.time, previous_now))
 
-    recorder = Recorder()
-    simulator.add_observer(recorder)
+    simulator.observer = Recorder()
     simulator.schedule(2.0, lambda: None)
     simulator.run()
     assert seen == [("scheduled", 2.0, 0.0), ("fired", 2.0, 0.0)]
-    simulator.remove_observer(recorder)
+    simulator.observer = None
     simulator.schedule(3.0, lambda: None)
     simulator.run()
     assert len(seen) == 2

@@ -91,7 +91,6 @@ class TestExecution:
         """Every launched thread block executes exactly once."""
 
         class FinishedBlocks(BaseObserver):
-            wants_simulator_events = False
             total = 0
 
             def on_kernel_finished(self, launch) -> None:
@@ -162,3 +161,46 @@ class TestPolicyDifferentiation:
         fcfs_time = run("fcfs")
         ppq_time = run("ppq")
         assert ppq_time < fcfs_time
+
+
+class TestObserverWiring:
+    def test_event_only_observer_receives_simulator_events(self, demo_trace):
+        class FiredEvents(BaseObserver):
+            fired = 0
+
+            def on_event_fired(self, event, previous_now) -> None:
+                self.fired += 1
+
+        system = GPUSystem(policy="fcfs")
+        observer = FiredEvents()
+        system.install_observer(observer)
+        assert system.simulator.observer is observer
+        system.add_process("a", demo_trace, max_iterations=1)
+        system.run(max_events=5_000_000)
+        assert observer.fired == system.simulator.events_processed > 0
+
+    def test_trace_collector_alone_leaves_the_simulator_slot_empty(self):
+        system = GPUSystem(policy="fcfs", trace=True)
+        assert system.execution_engine.observer is system.telemetry
+        assert system.simulator.observer is None
+
+    def test_installing_an_installed_observer_raises(self):
+        system = GPUSystem(policy="fcfs")
+        first, second = BaseObserver(), BaseObserver()
+        system.install_observer(first)
+        with pytest.raises(ValueError, match="already installed"):
+            system.install_observer(first)
+        with pytest.raises(ValueError, match="already installed"):
+            system.install_observer(second, second)
+        # A refused call installs nothing.
+        assert system.execution_engine.observer is first
+
+    def test_several_observers_install_and_uninstall_in_one_call(self):
+        system = GPUSystem(policy="fcfs")
+        first, second = BaseObserver(), BaseObserver()
+        system.install_observer(first, second)
+        assert system.dispatcher.observer.observers == [first, second]
+        system.uninstall_observer(first, second)
+        slots = [system.simulator, system.execution_engine, system.dispatcher, system.cpu]
+        slots += list(system.execution_engine.sms())
+        assert all(component.observer is None for component in slots)

@@ -107,7 +107,7 @@ class TestAttachDetach:
         assert recorded > 0
         collector.detach()
         assert system.telemetry is None
-        assert system.simulator._observers == []
+        assert system.simulator.observer is None
         assert system.execution_engine.observer is None
         assert system.cpu.observer is None
         system.run(max_events=5_000_000)
@@ -117,10 +117,13 @@ class TestAttachDetach:
         system = _preempting_system()
         hub = make_hub()
         hub.attach(system)
-        assert system.execution_engine.observer is hub
+        # The hub installs its checkers; the event-order checker takes the
+        # simulator's per-event hooks.
+        assert system.execution_engine.observer.observers == hub.checkers
+        assert system.simulator.observer is system.execution_engine.observer
         hub.detach()
         assert system.execution_engine.observer is None
-        assert hub not in system.simulator._observers
+        assert system.simulator.observer is None
         system.run(max_events=5_000_000)
         assert hub.ok  # no hooks fired, nothing recorded
 
@@ -153,8 +156,7 @@ class TestComposition:
         from repro.sim.observers import CompositeObserver
 
         assert isinstance(observer, CompositeObserver)
-        assert system.validation in observer.observers
-        assert system.telemetry in observer.observers
+        assert observer.observers == [*system.validation.checkers, system.telemetry]
         system.run(max_events=5_000_000)
         assert system.violations() == []
         assert system.telemetry.num_events > 0
