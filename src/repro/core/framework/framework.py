@@ -12,6 +12,7 @@ paper separates mechanism from policy.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.core.framework.command_buffer import CommandBufferSet
@@ -28,7 +29,6 @@ from repro.gpu.config import SystemConfig
 from repro.gpu.kernel import KernelLaunch, KernelState
 from repro.gpu.sm import SMState
 from repro.gpu.thread_block import ThreadBlock
-from repro.sim.stats import StatRegistry
 
 
 class SchedulingFramework:
@@ -50,7 +50,8 @@ class SchedulingFramework:
         #: Commands of active kernels, keyed by launch id, so the engine can
         #: notify command completion when the kernel finishes.
         self._commands_by_launch: Dict[int, KernelCommand] = {}
-        self.stats = StatRegistry()
+        #: Table event counts, reported by :meth:`snapshot`.
+        self.stats: Counter = Counter()
 
     # ------------------------------------------------------------------
     # Command buffers
@@ -59,7 +60,7 @@ class SchedulingFramework:
         """Store a kernel command in its context's command buffer."""
         accepted = self.command_buffers.offer(command)
         if accepted:
-            self.stats.counter("commands_buffered").add()
+            self.stats["commands_buffered"] += 1
         return accepted
 
     def pending_commands(self) -> List[KernelCommand]:
@@ -104,7 +105,7 @@ class SchedulingFramework:
         self._commands_by_launch[launch.launch_id] = command
         launch.state = KernelState.ACTIVE
         launch.activation_time_us = now
-        self.stats.counter("kernels_activated").add()
+        self.stats["kernels_activated"] += 1
         return entry
 
     def finish_kernel(self, ksr_index: int) -> KernelCommand:
@@ -123,7 +124,7 @@ class SchedulingFramework:
         self.active_queue.remove(ksr_index)
         self.ksrt.free(ksr_index)
         command = self._commands_by_launch.pop(entry.launch.launch_id)
-        self.stats.counter("kernels_finished").add()
+        self.stats["kernels_finished"] += 1
         return command
 
     # ------------------------------------------------------------------
@@ -214,7 +215,7 @@ class SchedulingFramework:
             raise RuntimeError(f"only running SMs can be reserved (SM{sm_id} is {entry.state})")
         self.smst.set_state(sm_id, SMState.RESERVED)
         entry.next_ksr_index = next_ksr_index
-        self.stats.counter("sm_reservations").add()
+        self.stats["sm_reservations"] += 1
 
     def update_sm_reservation(self, sm_id: int, next_ksr_index: Optional[int]) -> None:
         """Change the kernel a reserved SM is destined for (paper Sec. 3.4)."""
@@ -251,7 +252,7 @@ class SchedulingFramework:
         if not self.ksr_valid(ksr_index):
             raise KeyError(f"cannot push a preempted block for invalid KSR {ksr_index}")
         self._ptbqs[ksr_index].push(block)
-        self.stats.counter("blocks_preempted").add()
+        self.stats["blocks_preempted"] += 1
 
     def pop_preempted_block(self, ksr_index: int) -> Optional[ThreadBlock]:
         """Retrieve the oldest preempted block of a kernel (or ``None``)."""
@@ -274,7 +275,7 @@ class SchedulingFramework:
 
     def snapshot(self) -> Dict[str, float]:
         """Flat dictionary of framework counters (for experiment reports)."""
-        out = dict(self.stats.snapshot())
+        out = {name: float(count) for name, count in self.stats.items()}
         out["active_kernels"] = float(len(self.active_queue))
         out["buffered_commands"] = float(self.command_buffers.occupancy())
         out["idle_sms"] = float(len(self.idle_sms()))

@@ -17,7 +17,6 @@ from typing import List, Optional, Protocol
 from repro.core.framework.framework import SchedulingFramework
 from repro.core.framework.tables import KernelStatusEntry
 from repro.gpu.command_queue import KernelCommand
-from repro.sim.stats import StatRegistry
 
 
 class ExecutionEngineOps(Protocol):
@@ -56,7 +55,6 @@ class SchedulingPolicy(abc.ABC):
 
     def __init__(self) -> None:
         self._engine: Optional[ExecutionEngineOps] = None
-        self.stats = StatRegistry()
 
     # ------------------------------------------------------------------
     # Binding

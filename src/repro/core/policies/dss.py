@@ -130,7 +130,6 @@ class DynamicSpatialSharingPolicy(SchedulingPolicy):
             command.launch.tokens = self.budget_for(command)
             entry = self.engine.activate_command(command)
             entry.token_count = command.launch.tokens
-            self.stats.counter("kernels_admitted").add()
             self.on_kernel_activated(entry)
 
     # ------------------------------------------------------------------
@@ -165,7 +164,6 @@ class DynamicSpatialSharingPolicy(SchedulingPolicy):
                 # Idle SMs are always handed out; kernels may go into debt.
                 ksr_max.token_count -= 1
                 engine.setup_sm(idle[0], ksr_max.index)
-                self.stats.counter("sm_assignments").add()
                 continue
             if ksr_max.index == ksr_min.index:
                 return
@@ -181,6 +179,5 @@ class DynamicSpatialSharingPolicy(SchedulingPolicy):
             ksr_min.token_count += 1
             ksr_max.token_count -= 1
             engine.reserve_sm(victims[0], ksr_max.index)
-            self.stats.counter("preemptions_requested").add()
             if ksr_max.token_count <= ksr_min.token_count + 1:
                 return

@@ -78,7 +78,6 @@ class FCFSPolicy(SchedulingPolicy):
                 if not self.back_to_back:
                     return
             entry = self.engine.activate_command(next_command)
-            self.stats.counter("kernels_admitted").add()
             self.on_kernel_activated(entry)
 
     def _assign_idle_sms(self) -> None:
@@ -93,4 +92,3 @@ class FCFSPolicy(SchedulingPolicy):
             if target is None:
                 return
             self.engine.setup_sm(sm_id, target.index)
-            self.stats.counter("sm_assignments").add()

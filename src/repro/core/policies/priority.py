@@ -69,7 +69,6 @@ class NonPreemptivePriorityPolicy(SchedulingPolicy):
                 )
             )
             entry = self.engine.activate_command(pending[0])
-            self.stats.counter("kernels_admitted").add()
             self.on_kernel_activated(entry)
 
     def _priority_order(self, entries: List[KernelStatusEntry]) -> List[KernelStatusEntry]:
@@ -106,7 +105,6 @@ class NonPreemptivePriorityPolicy(SchedulingPolicy):
             if target is None:
                 return
             self.engine.setup_sm(sm_id, target.index)
-            self.stats.counter("sm_assignments").add()
 
 
 @register_policy(
@@ -165,7 +163,6 @@ class PreemptivePriorityPolicy(NonPreemptivePriorityPolicy):
             victims = self._victim_sms(entry)
             for sm_id in victims[:needed]:
                 self.engine.reserve_sm(sm_id, entry.index)
-                self.stats.counter("preemptions_requested").add()
 
     def _victim_sms(self, beneficiary: KernelStatusEntry) -> List[int]:
         """Running SMs of strictly lower-priority kernels, lowest first."""

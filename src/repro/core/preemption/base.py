@@ -31,7 +31,6 @@ from repro.gpu.config import SystemConfig
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.thread_block import ThreadBlock
 from repro.sim.engine import Simulator
-from repro.sim.stats import RunningStats, StatRegistry
 
 
 class PreemptionHost(Protocol):
@@ -56,10 +55,9 @@ class PreemptionHost(Protocol):
 class PreemptionMechanism(abc.ABC):
     """Abstract preemption mechanism (a per-SM-keyed strategy).
 
-    Per-preemption state (reservation timestamps, scheduled save/drain
-    events) must be keyed by ``sm_id`` so one bound instance can handle
-    concurrent preemptions of different SMs; instance-wide state is reserved
-    for statistics.
+    Per-preemption state (such as scheduled save/drain events) must be keyed
+    by ``sm_id`` so one bound instance can handle concurrent preemptions of
+    different SMs; the only instance-wide state is the bound host.
     """
 
     #: Short name used in experiment reports ("context_switch" / "draining").
@@ -67,10 +65,6 @@ class PreemptionMechanism(abc.ABC):
 
     def __init__(self) -> None:
         self._host: Optional[PreemptionHost] = None
-        self.stats = StatRegistry()
-        #: Observed latency from reservation to SM free, per preemption.
-        self.latency_stats = RunningStats("preemption_latency_us")
-        self._reserve_times: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Binding
@@ -98,7 +92,7 @@ class PreemptionMechanism(abc.ABC):
         """A resident block of a reserved SM completed naturally.
 
         The mechanism decides whether the SM is now free; if so it calls
-        :meth:`PreemptionHost.preemption_complete` (via :meth:`_complete`).
+        :meth:`PreemptionHost.preemption_complete`.
         """
 
     def restore_latency_us(self, block: ThreadBlock, state_bytes_per_block: int) -> float:
@@ -108,25 +102,6 @@ class PreemptionMechanism(abc.ABC):
         restore; the default is zero.
         """
         return 0.0
-
-    # ------------------------------------------------------------------
-    # Shared bookkeeping helpers for subclasses
-    # ------------------------------------------------------------------
-    def _record_reservation(self, sm_id: int) -> None:
-        """Remember when the SM was reserved, to measure preemption latency."""
-        self._reserve_times[sm_id] = self.host.simulator.now
-
-    def _record_completion(self, sm_id: int) -> None:
-        """Record the preemption latency of a completed preemption."""
-        start = self._reserve_times.pop(sm_id, None)
-        if start is not None:
-            self.latency_stats.add(self.host.simulator.now - start)
-        self.stats.counter("preemptions_completed").add()
-
-    def _complete(self, sm_id: int, evicted: List[ThreadBlock]) -> None:
-        """Finish the preemption of ``sm_id`` and notify the host."""
-        self._record_completion(sm_id)
-        self.host.preemption_complete(sm_id, evicted)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

@@ -47,14 +47,12 @@ class ContextSwitchMechanism(PreemptionMechanism):
         The trap first drains the SM pipelines, then evicts all resident
         blocks and spends the save time moving their state off-chip.
         """
-        self._record_reservation(sm.sm_id)
-        self.stats.counter("preemptions_initiated").add()
         drain = self.host.system_config.gpu.pipeline_drain_latency_us
         if sm.is_empty:
             # Nothing resident: the SM frees as soon as the trap is taken.
             self.host.simulator.schedule(
                 drain,
-                lambda: self._complete(sm.sm_id, []),
+                lambda: self.host.preemption_complete(sm.sm_id, []),
                 label=f"ctxswitch.sm{sm.sm_id}.empty",
             )
             return
@@ -85,16 +83,14 @@ class ContextSwitchMechanism(PreemptionMechanism):
         evicted = sm.evict_all()
         if not evicted:
             # Every block completed during the pipeline drain.
-            self._complete(sm.sm_id, [])
+            self.host.preemption_complete(sm.sm_id, [])
             return
         state_bytes = self._evicted_state_bytes(sm, evicted)
         bandwidth = self.host.system_config.gpu.per_sm_bandwidth_bytes_per_us
         save_time = state_bytes / bandwidth
-        self.stats.counter("bytes_saved", unit="B").add(state_bytes)
-        self.stats.stats("save_time_us").add(save_time)
         self.host.simulator.schedule(
             save_time,
-            lambda: self._complete(sm.sm_id, evicted),
+            lambda: self.host.preemption_complete(sm.sm_id, evicted),
             label=f"ctxswitch.sm{sm.sm_id}.save",
         )
 

@@ -50,8 +50,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.gpu.config import SystemConfig
-from repro.registry import MECHANISMS, UnknownComponentError, register_controller
-from repro.sim.stats import StatRegistry
+from repro.registry import register_controller
 
 #: Default drain deadline of the hybrid controller, µs.  Sized against the
 #: paper's Table 1 projected context-save times (~16-20 µs for a fully
@@ -138,12 +137,6 @@ class PreemptionController(abc.ABC):
     #: passes ``None`` instead of building one.
     needs_request: bool = True
 
-    def __init__(self) -> None:
-        self.stats = StatRegistry()
-        #: Chosen-name -> stats-label memo (selection names repeat, and the
-        #: registry lookup must stay off the per-preemption hot path).
-        self._stat_labels: dict = {}
-
     def bind(self, host) -> None:
         """Attach the controller to its engine (called once at wiring time).
 
@@ -158,23 +151,6 @@ class PreemptionController(abc.ABC):
         ``request`` is ``None`` only for controllers that declared
         ``needs_request = False``.
         """
-
-    def decide(self, request: Optional[PreemptionRequest]) -> str:
-        """Select a mechanism and record the decision (engine entry point)."""
-        chosen = self.select(request)
-        # Stats are keyed by canonical name so a controller answering with an
-        # alias ("cs") does not split one mechanism's count across counters.
-        # Unregistered names (custom mechanism instances seeded into the
-        # engine's pool) are counted as returned.
-        label = self._stat_labels.get(chosen)
-        if label is None:
-            try:
-                label = MECHANISMS.canonical_name(chosen)
-            except UnknownComponentError:
-                label = chosen
-            self._stat_labels[chosen] = label
-        self.stats.counter(f"selected.{label}").add()
-        return chosen
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -195,7 +171,6 @@ class StaticController(PreemptionController):
     needs_request = False
 
     def __init__(self, *, mechanism: Optional[str] = None):
-        super().__init__()
         self.mechanism = mechanism
         #: Engine the default mechanism was adopted from (``None`` when the
         #: mechanism was configured explicitly or the controller is unbound).
@@ -242,7 +217,6 @@ class HybridController(PreemptionController):
     name = "hybrid"
 
     def __init__(self, *, drain_budget_us: Optional[float] = None):
-        super().__init__()
         if drain_budget_us is not None and drain_budget_us < 0:
             raise ValueError("drain_budget_us must be non-negative")
         self.drain_budget_us = drain_budget_us
@@ -279,7 +253,6 @@ class AdaptiveController(PreemptionController):
     name = "adaptive"
 
     def __init__(self, *, switch_bias: float = 1.0):
-        super().__init__()
         if switch_bias <= 0:
             raise ValueError("switch_bias must be positive")
         self.switch_bias = switch_bias

@@ -36,21 +36,17 @@ class DrainingMechanism(PreemptionMechanism):
         Stopping the issue of new blocks requires no action here: the SM
         driver never issues blocks to an SM whose SMST state is RESERVED.
         """
-        self._record_reservation(sm.sm_id)
-        self.stats.counter("preemptions_initiated").add()
         if sm.is_empty:
             # Zero-latency completion still goes through the event queue so
             # that the policy's view of the SM does not change re-entrantly
             # in the middle of its own decision procedure.
             self.host.simulator.schedule(
                 0.0,
-                lambda: self._complete(sm.sm_id, []),
+                lambda: self.host.preemption_complete(sm.sm_id, []),
                 label=f"draining.sm{sm.sm_id}.empty",
             )
 
     def on_block_completed(self, sm: StreamingMultiprocessor) -> None:
         """The SM is free once its last resident block has finished."""
         if sm.is_empty:
-            self._complete(sm.sm_id, [])
-        else:
-            self.stats.counter("drain_progress_blocks").add()
+            self.host.preemption_complete(sm.sm_id, [])

@@ -15,7 +15,6 @@ from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.gpu.command_queue import Command, HardwareQueue, KernelCommand, TransferCommand
 from repro.sim.engine import Simulator
-from repro.sim.stats import StatRegistry
 
 
 class CommandSink(Protocol):
@@ -55,7 +54,6 @@ class CommandDispatcher:
         }
         for sink in self._sinks.values():
             sink.register_backpressure_callback(self.dispatch)
-        self.stats = StatRegistry()
         #: queue_id for every in-flight command id (to re-enable on completion).
         self._inflight_queue: Dict[int, int] = {}
         #: Re-entrancy guard: submitting a command may synchronously free an
@@ -91,7 +89,6 @@ class CommandDispatcher:
             raise ValueError(f"invalid hardware queue id {queue_id}")
         queue = self._queues[queue_id]
         queue.push(command, self._sim.now)
-        self.stats.counter("commands_enqueued").add()
         if self.observer is not None:
             self.observer.on_command_enqueued(queue_id, command)
         self.dispatch()
@@ -126,7 +123,6 @@ class CommandDispatcher:
                     sink = self._sinks[command.engine]
                     if not sink.submit(command):
                         # Engine back-pressure: leave the command at the head.
-                        self.stats.counter("backpressure_stalls").add()
                         continue
                     queue.pop()
                     queue.in_flight = command
@@ -135,7 +131,6 @@ class CommandDispatcher:
                     command.subscribe_completion(
                         lambda now, cid=command.command_id: self._on_command_complete(cid)
                     )
-                    self.stats.counter(f"commands_issued_{command.engine}").add()
                     if self.observer is not None:
                         self.observer.on_command_issued(queue.queue_id, command)
                     progress = True
@@ -149,7 +144,6 @@ class CommandDispatcher:
             return
         queue = self._queues[queue_id]
         queue.in_flight = None
-        self.stats.counter("commands_completed").add()
         if self.observer is not None:
             self.observer.on_command_completed(queue_id, command_id)
         self.dispatch()

@@ -23,6 +23,7 @@ mechanism that actually owns the preemption.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.framework.framework import SchedulingFramework
@@ -43,7 +44,6 @@ from repro.gpu.sm import SMState, StreamingMultiprocessor, WaveAnchor
 from repro.gpu.sm_driver import SMDriver
 from repro.gpu.thread_block import ThreadBlock
 from repro.sim.engine import Simulator
-from repro.sim.stats import StatRegistry
 
 
 class ExecutionEngine:
@@ -91,7 +91,8 @@ class ExecutionEngine:
             for i in range(config.gpu.num_sms)
         ]
         self.sm_driver = SMDriver(self)
-        self.stats = StatRegistry()
+        #: Engine event counts, reported by :meth:`utilization_snapshot`.
+        self.stats: Counter = Counter()
         self._backpressure_callbacks: List[Callable[[], None]] = []
         #: Optional instrumentation sink (see :mod:`repro.validation`),
         #: notified of preemption completions and kernel completions; it must
@@ -140,7 +141,7 @@ class ExecutionEngine:
             raise TypeError("the execution engine only accepts kernel commands")
         accepted = self.framework.buffer_command(command)
         if accepted:
-            self.stats.counter("kernel_commands_accepted").add()
+            self.stats["kernel_commands_accepted"] += 1
             self.policy.on_command_buffered(command)
         return accepted
 
@@ -167,7 +168,7 @@ class ExecutionEngine:
             blocks_per_sm=occupancy.blocks_per_sm,
             shared_memory_config=occupancy.shared_memory_config,
         )
-        self.stats.counter("kernels_activated").add()
+        self.stats["kernels_activated"] += 1
         if self.observer is not None:
             self.observer.on_kernel_activated(entry)
         # The command buffer for this context is now free: the dispatcher may
@@ -189,7 +190,7 @@ class ExecutionEngine:
         self.framework.mark_sm_reserved(sm_id, next_ksr_index)
         sm = self._sms[sm_id]
         sm.state = SMState.RESERVED
-        self.stats.counter("sm_reservations").add()
+        self.stats["sm_reservations"] += 1
         # Request-independent controllers (static) skip the snapshot: the
         # legacy hot path pays no per-preemption bookkeeping it would discard.
         request = (
@@ -197,9 +198,9 @@ class ExecutionEngine:
             if self.controller.needs_request
             else None
         )
-        mechanism = self.mechanism_named(self.controller.decide(request))
+        mechanism = self.mechanism_named(self.controller.select(request))
         self._inflight_mechanisms[sm_id] = mechanism
-        self.stats.counter(f"preemptions_via.{mechanism.name}").add()
+        self.stats[f"preemptions_via.{mechanism.name}"] += 1
         if self.observer is not None:
             # Before initiate(): observers see the request strictly before
             # any save/complete notification of the same preemption.
@@ -218,8 +219,7 @@ class ExecutionEngine:
 
         Mechanism names and aliases resolve through
         :data:`repro.registry.MECHANISMS`; every engine keeps at most one
-        bound instance per canonical name, so per-mechanism statistics
-        (latencies, save bytes) accumulate in one place.
+        bound instance per canonical name, shared by all its aliases.
         """
         from repro.registry import MECHANISMS  # local: avoids import cycle
 
@@ -325,9 +325,9 @@ class ExecutionEngine:
     def preemption_complete(self, sm_id: int, evicted_blocks: List[ThreadBlock]) -> None:
         """The mechanism finished freeing ``sm_id``."""
         mechanism = self._inflight_mechanisms.pop(sm_id, self.mechanism)
-        self.stats.counter("preemptions_completed").add()
+        self.stats["preemptions_completed"] += 1
         if evicted_blocks:
-            self.stats.counter("thread_blocks_evicted").add(len(evicted_blocks))
+            self.stats["thread_blocks_evicted"] += len(evicted_blocks)
             for block in evicted_blocks:
                 self._evicted_by[block.key] = mechanism
         if self.observer is not None:
@@ -339,14 +339,14 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     def notify_sm_idle(self, sm_id: int, owner_ksr_index: Optional[int]) -> None:
         """An SM was released to the idle pool; inform the policy."""
-        self.stats.counter("sm_idle_events").add()
+        self.stats["sm_idle_events"] += 1
         self.policy.on_sm_idle(sm_id, owner_ksr_index)
 
     def finish_kernel(self, ksr_index: int) -> None:
         """All thread blocks of an active kernel completed."""
         entry = self.framework.ksr(ksr_index)
         command = self.framework.finish_kernel(ksr_index)
-        self.stats.counter("kernels_completed").add()
+        self.stats["kernels_completed"] += 1
         if self.observer is not None:
             self.observer.on_kernel_finished(entry.launch)
         # Notify the host process and the command dispatcher first (the
@@ -366,7 +366,7 @@ class ExecutionEngine:
         """Aggregate utilisation and bookkeeping statistics."""
         now = self._sim.now
         per_sm = [sm.busy_fraction(now) for sm in self._sms]
-        out = dict(self.stats.snapshot())
+        out = {name: float(count) for name, count in self.stats.items()}
         out["mean_sm_utilization"] = sum(per_sm) / len(per_sm) if per_sm else 0.0
         out["blocks_executed"] = float(sum(sm.blocks_executed for sm in self._sms))
         out["blocks_preempted"] = float(sum(sm.blocks_preempted for sm in self._sms))

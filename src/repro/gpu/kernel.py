@@ -4,16 +4,16 @@ A :class:`KernelSpec` is the static description of a GPU kernel — the
 quantities the paper's Table 1 reports per kernel (thread-block count,
 per-block execution time, per-block register and shared-memory usage, the
 measured occupancy limit).  A :class:`KernelLaunch` is one dynamic invocation
-of a spec by a process: it owns the thread blocks, tracks issue/completion
-progress and records timing of the whole command.
+of a spec by a process: it creates the thread blocks as they are issued,
+tracks issue/completion progress and records timing of the whole command.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from repro.gpu.resources import ResourceUsage
 from repro.gpu.thread_block import ThreadBlock, ThreadBlockState
@@ -107,9 +107,10 @@ class KernelSpec:
 class KernelLaunch:
     """One dynamic invocation of a kernel by a process.
 
-    The launch owns its thread blocks.  Blocks are materialised lazily by
-    :meth:`next_thread_block` so that kernels with hundreds of thousands of
-    blocks do not allocate them all up front.
+    The launch hands out its thread blocks.  Blocks are materialised lazily,
+    when they are issued (:meth:`take_fresh_blocks`, :meth:`materialise_span`),
+    and the launch keeps no reference to them, so kernels with hundreds of
+    thousands of blocks never hold them all at once.
     """
 
     spec: KernelSpec
@@ -136,7 +137,6 @@ class KernelLaunch:
 
     _next_block_index: int = 0
     _completed_blocks: int = 0
-    _blocks: Dict[int, ThreadBlock] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Thread-block management
@@ -157,50 +157,29 @@ class KernelLaunch:
             return base
         return self.jitter.scaled_at(base, self._jitter_prefix, block_index)
 
-    def next_thread_block(self) -> ThreadBlock:
-        """Materialise the next never-issued thread block of this launch."""
-        if not self.has_unissued_blocks:
-            raise RuntimeError(f"kernel launch {self.describe()} has no unissued thread blocks")
-        index = self._next_block_index
-        self._next_block_index += 1
-        block = ThreadBlock(
-            kernel_launch_id=self.launch_id,
-            block_index=index,
-            execution_time_us=self.block_execution_time(index),
-        )
-        self._blocks[index] = block
-        return block
-
     def take_fresh_blocks(self, count: int) -> List[ThreadBlock]:
         """Materialise up to ``count`` never-issued blocks (SM-driver bulk issue).
 
-        Identical to calling :meth:`next_thread_block` ``count`` times (same
-        indices, same deterministic execution times), without the per-block
-        call overhead; returns fewer blocks when the grid runs out.
+        Blocks get consecutive indices in issue order and the deterministic
+        execution times of :meth:`block_execution_time`; returns fewer blocks
+        when the grid runs out.
         """
         start = self._next_block_index
         end = min(start + count, self.spec.num_thread_blocks)
         if end <= start:
             return []
         self._next_block_index = end
-        blocks_map = self._blocks
         launch_id = self.launch_id
         base = self.spec.avg_tb_time_us
         jitter = self.jitter
-        out: List[ThreadBlock] = []
         if jitter is None:
-            for index in range(start, end):
-                block = ThreadBlock(launch_id, index, base)
-                blocks_map[index] = block
-                out.append(block)
-        else:
-            prefix = self._jitter_prefix
-            scaled_at = jitter.scaled_at
-            for index in range(start, end):
-                block = ThreadBlock(launch_id, index, scaled_at(base, prefix, index))
-                blocks_map[index] = block
-                out.append(block)
-        return out
+            return [ThreadBlock(launch_id, index, base) for index in range(start, end)]
+        prefix = self._jitter_prefix
+        scaled_at = jitter.scaled_at
+        return [
+            ThreadBlock(launch_id, index, scaled_at(base, prefix, index))
+            for index in range(start, end)
+        ]
 
     def take_fresh_span(self, count: int) -> tuple[int, int]:
         """Claim up to ``count`` never-issued blocks *without* materialising.
@@ -222,11 +201,9 @@ class KernelLaunch:
         """Create the ThreadBlocks of a claimed span, running since ``start_time_us``.
 
         Produces exactly the objects the per-block path would hold at this
-        point: registered with the launch, RUNNING on ``sm_id``, first/last
-        start at the issue instant, execution times from
-        :meth:`block_execution_time`.
+        point: RUNNING on ``sm_id``, first/last start at the issue instant,
+        execution times from :meth:`block_execution_time`.
         """
-        blocks_map = self._blocks
         launch_id = self.launch_id
         out: List[ThreadBlock] = []
         for index in range(first_index, first_index + count):
@@ -235,7 +212,6 @@ class KernelLaunch:
             block.sm_id = sm_id
             block.first_start_time_us = start_time_us
             block.last_start_time_us = start_time_us
-            blocks_map[index] = block
             out.append(block)
         return out
 
@@ -257,10 +233,6 @@ class KernelLaunch:
             self.completion_time_us = now
             if self.on_complete is not None:
                 self.on_complete(self, now)
-
-    def block(self, block_index: int) -> ThreadBlock:
-        """Return an already-materialised block by index."""
-        return self._blocks[block_index]
 
     def notify_block_completed(self, block: ThreadBlock, now: float) -> None:
         """Record the completion of one thread block.
@@ -306,10 +278,6 @@ class KernelLaunch:
     def is_finished(self) -> bool:
         """Whether the launch is in the FINISHED state."""
         return self.state is KernelState.FINISHED
-
-    def materialised_blocks(self) -> List[ThreadBlock]:
-        """All blocks created so far (issued at least once)."""
-        return list(self._blocks.values())
 
     def describe(self) -> str:
         """Short human-readable identifier used in error messages and logs."""

@@ -33,7 +33,6 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.thread_block import ThreadBlock
 from repro.sim.engine import Simulator
 from repro.sim.events import EventHandle
-from repro.sim.stats import UtilizationTracker
 
 
 class Wave:
@@ -135,6 +134,42 @@ class SMState(enum.Enum):
     RUNNING = "running"
     #: Reserved by the scheduling policy; the preemption mechanism is freeing it.
     RESERVED = "reserved"
+
+
+class UtilizationTracker:
+    """Tracks the fraction of time a resource spends busy.
+
+    The resource reports ``set_busy``/``set_idle`` transitions; the tracker
+    accumulates busy time between them.
+    """
+
+    def __init__(self, start_time: float = 0.0):
+        self._busy_since: Optional[float] = None
+        self._busy_time = 0.0
+        self._start_time = start_time
+
+    def set_busy(self, now: float) -> None:
+        """Mark the resource busy starting at ``now`` (idempotent)."""
+        if self._busy_since is None:
+            self._busy_since = now
+
+    def set_idle(self, now: float) -> None:
+        """Mark the resource idle at ``now`` (idempotent)."""
+        if self._busy_since is not None:
+            self._busy_time += now - self._busy_since
+            self._busy_since = None
+
+    def busy_time(self, now: float) -> float:
+        """Total busy time observed up to ``now``."""
+        extra = (now - self._busy_since) if self._busy_since is not None else 0.0
+        return self._busy_time + extra
+
+    def utilization(self, now: float) -> float:
+        """Busy fraction in ``[0, 1]`` over the window ``[start_time, now]``."""
+        span = now - self._start_time
+        if span <= 0:
+            return 0.0
+        return min(1.0, self.busy_time(now) / span)
 
 
 class StreamingMultiprocessor:

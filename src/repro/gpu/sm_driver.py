@@ -19,7 +19,6 @@ from repro.gpu.blockrun import BlockRun
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.sm import SMState, StreamingMultiprocessor
 from repro.gpu.thread_block import ThreadBlock
-from repro.sim.stats import StatRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.gpu.execution_engine import ExecutionEngine
@@ -30,16 +29,10 @@ class SMDriver:
 
     def __init__(self, engine: "ExecutionEngine"):
         self._engine = engine
-        self.stats = StatRegistry()
         #: Per-SM completion callbacks, created once: bulk issue hands the
         #: same callable to every block of a burst instead of binding one
         #: closure per block.
         self._completion_callbacks: dict[int, object] = {}
-        # Hot-path counters, resolved once (identical Counter objects to the
-        # registry's; the per-block paths must not pay a name lookup each).
-        self._ctr_blocks_issued = self.stats.counter("blocks_issued")
-        self._ctr_blocks_reissued = self.stats.counter("blocks_reissued")
-        self._ctr_blocks_completed = self.stats.counter("blocks_completed")
         #: Issue latency, cached: the configuration is immutable.
         self._tb_issue_latency_us = engine.system_config.gpu.tb_issue_latency_us
         #: Wave batching gate, cached: vectorised runs ride the wave path.
@@ -75,7 +68,6 @@ class SMDriver:
         framework.mark_sm_setup(sm_id, ksr_index)
         sm = self._engine.sm(sm_id)
         sm.state = SMState.SETUP
-        self.stats.counter("sm_setups").add()
         expected_launch_id = framework.ksr(ksr_index).launch.launch_id
         self._sim.schedule(
             self._config.gpu.sm_setup_latency_us,
@@ -164,7 +156,6 @@ class SMDriver:
                 # the per-block path below by construction.
                 first, taken = launch.take_fresh_span(free)
                 if taken:
-                    self._ctr_blocks_issued.value += taken
                     if callback is None:
                         callback = self._completion_callback(sm.sm_id)
                     run = BlockRun(launch, first, taken, launch.spec.avg_tb_time_us)
@@ -183,7 +174,6 @@ class SMDriver:
                         # one call.
                         fresh = launch.take_fresh_blocks(free)
                         if fresh:
-                            self._ctr_blocks_issued.value += len(fresh)
                             for fresh_block in fresh:
                                 issues.append((fresh_block, tb_issue_latency))
                             free -= len(fresh)
@@ -191,7 +181,6 @@ class SMDriver:
                     restore = engine.restore_latency_us(
                         block, launch.spec.usage.state_bytes_per_block
                     )
-                    self._ctr_blocks_reissued.value += 1
                     issues.append((block, tb_issue_latency + restore))
                     free -= 1
                 if issues:
@@ -216,7 +205,7 @@ class SMDriver:
         preemption; a RUNNING SM is refilled.
 
         The closure pre-binds every per-run-stable object (engine, framework,
-        SM, SMST entry, simulator, counters): block completion is the hottest
+        SM, SMST entry, simulator): block completion is the hottest
         model path, and the prologue lookups would otherwise repeat hundreds
         of thousands of times on large-GPU scenarios.
         """
@@ -229,7 +218,6 @@ class SMDriver:
             sm_entry = framework.sm_entry(sm_id)
             index_for_launch = framework.ksrt.index_for_launch
             ksr = framework.ksr
-            completed_counter = self._ctr_blocks_completed
             resident = sm._resident
 
             def callback(block: ThreadBlock) -> None:
@@ -240,7 +228,6 @@ class SMDriver:
                 entry = ksr(ksr_index)
                 launch = entry.launch
                 launch.notify_block_completed(block, simulator.now)
-                completed_counter.value += 1
 
                 if launch.all_blocks_completed:
                     # Release before finish_kernel (see the docstring).
@@ -288,7 +275,6 @@ class SMDriver:
                 sm.blocks_executed += count
                 if not resident and not sm._run_blocks:
                     sm.utilization.set_idle(now)
-                completed_counter.value += count
                 sm_entry.running_blocks = len(resident) + sm._run_blocks
                 self._fill_running_sm(sm, sm_entry, framework, entry, callback)
                 return True
@@ -319,7 +305,6 @@ class SMDriver:
                 ksr_index = framework.ksr_index_for_launch(block.kernel_launch_id)
                 if ksr_index is not None:
                     framework.push_preempted_block(ksr_index, block)
-            self.stats.counter("stale_preemption_completions").add()
             return
 
         for block in evicted_blocks:
@@ -327,7 +312,6 @@ class SMDriver:
             if ksr_index is None:  # pragma: no cover - defensive
                 raise RuntimeError("evicted block belongs to no active kernel")
             framework.push_preempted_block(ksr_index, block)
-        self.stats.counter("preemptions_completed").add()
 
         next_ksr = sm_entry.next_ksr_index
         owner = next_ksr if next_ksr is not None else sm_entry.ksr_index
@@ -351,5 +335,4 @@ class SMDriver:
         previous = framework.mark_sm_idle(sm_id)
         if sm.state is not SMState.IDLE:
             sm.release()
-        self.stats.counter("sm_releases").add()
         self._engine.notify_sm_idle(sm_id, owner_ksr if owner_ksr is not None else previous)

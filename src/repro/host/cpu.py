@@ -17,7 +17,6 @@ from typing import Callable, Deque, Optional, Tuple
 
 from repro.gpu.config import CPUConfig
 from repro.sim.engine import Simulator
-from repro.sim.stats import StatRegistry
 
 
 class HostCPU:
@@ -28,7 +27,6 @@ class HostCPU:
         self._sim = simulator
         self._busy_threads = 0
         self._waiting: Deque[Tuple[float, Callable[[], None], str]] = deque()
-        self.stats = StatRegistry()
         #: Optional instrumentation sink (see :mod:`repro.sim.observers`),
         #: notified of phase start/finish; it must never mutate state.
         self.observer: Optional[object] = None
@@ -58,14 +56,11 @@ class HostCPU:
             raise ValueError("CPU phase duration must be non-negative")
         if self._busy_threads >= self.hardware_threads:
             self._waiting.append((duration_us, on_complete, label))
-            self.stats.counter("phases_queued").add()
             return
         self._start(duration_us, on_complete, label)
 
     def _start(self, duration_us: float, on_complete: Callable[[], None], label: str) -> None:
         self._busy_threads += 1
-        self.stats.counter("phases_started").add()
-        self.stats.counter("cpu_time_us", unit="us").add(duration_us)
         if self.observer is not None:
             self.observer.on_cpu_phase_started(duration_us, label)
 

@@ -21,7 +21,6 @@ from repro.host.stream import Stream
 from repro.memory.allocator import GPUMemoryAllocator
 from repro.memory.address_space import Allocation
 from repro.sim.engine import Simulator
-from repro.sim.stats import StatRegistry
 from repro.utils.determinism import DeterministicJitter
 
 
@@ -50,7 +49,6 @@ class DeviceDriver:
         #: (context_id, stream_id) -> Stream
         self._streams: Dict[Tuple[int, int], Stream] = {}
         self._jitter = DeterministicJitter(config.seed, config.tb_time_cv)
-        self.stats = StatRegistry()
 
     # ------------------------------------------------------------------
     # Context and stream management
@@ -58,7 +56,6 @@ class DeviceDriver:
     def create_context(self, process_name: str, *, priority: int = 0, tokens: int = 0) -> GPUContext:
         """Create the GPU context of a process (first CUDA call)."""
         context = self._context_table.create(process_name, priority=priority, tokens=tokens)
-        self.stats.counter("contexts_created").add()
         # Stream 0 (the default stream) always exists.
         self._create_stream(context.context_id, 0)
         return context
@@ -75,7 +72,6 @@ class DeviceDriver:
         self._next_hw_queue += 1
         stream = Stream(stream_id, hw_queue)
         self._streams[(context_id, stream_id)] = stream
-        self.stats.counter("streams_created").add()
         return stream
 
     def stream(self, context_id: int, stream_id: int) -> Stream:
@@ -94,12 +90,10 @@ class DeviceDriver:
     # ------------------------------------------------------------------
     def malloc(self, context_id: int, size_bytes: int) -> Allocation:
         """Allocate device memory on behalf of a process."""
-        self.stats.counter("mallocs").add()
         return self._allocator.malloc(context_id, size_bytes)
 
     def free(self, context_id: int, virtual_address: int) -> None:
         """Free device memory on behalf of a process."""
-        self.stats.counter("frees").add()
         self._allocator.free(context_id, virtual_address)
 
     # ------------------------------------------------------------------
@@ -135,7 +129,6 @@ class DeviceDriver:
         )
         stream.track(command)
         self._dispatcher.enqueue(stream.hw_queue_id, command)
-        self.stats.counter("kernel_launches").add()
         return command
 
     def memcpy(
@@ -159,7 +152,6 @@ class DeviceDriver:
         )
         stream.track(command)
         self._dispatcher.enqueue(stream.hw_queue_id, command)
-        self.stats.counter("memcpys").add()
         return command
 
     # ------------------------------------------------------------------

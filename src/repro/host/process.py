@@ -22,7 +22,6 @@ from repro.gpu.context import GPUContext
 from repro.host.cpu import HostCPU
 from repro.host.driver import DeviceDriver
 from repro.sim.engine import Simulator
-from repro.sim.stats import StatRegistry
 from repro.trace.schema import (
     ApplicationTrace,
     CpuPhaseOp,
@@ -83,7 +82,6 @@ class HostProcess:
 
         self.context: Optional[GPUContext] = None
         self.iterations: List[IterationRecord] = []
-        self.stats = StatRegistry()
 
         self._started = False
         self._stopped = False
@@ -181,7 +179,6 @@ class HostProcess:
                 stream_id=op.stream,
                 priority=self.priority,
             )
-            self.stats.counter("transfer_bytes", unit="B").add(op.size_bytes)
             if op.synchronous:
                 command.subscribe_completion(lambda now: self._advance(0.0))
             else:
@@ -192,7 +189,6 @@ class HostProcess:
             self._driver.launch_kernel(
                 self.context, spec, stream_id=op.stream, priority=self.priority
             )
-            self.stats.counter("kernel_launches").add()
             self._advance(issue_latency)
             return
         if isinstance(op, StreamSyncOp):
@@ -234,7 +230,6 @@ class HostProcess:
             end_time_us=self._sim.now,
         )
         self.iterations.append(record)
-        self.stats.counter("iterations_completed").add()
         self._release_iteration_memory()
         if self._on_iteration_complete is not None:
             self._on_iteration_complete(self, record)

@@ -17,7 +17,6 @@ paper Sec. 2.2).
 from __future__ import annotations
 
 from repro.gpu.config import GPUConfig
-from repro.sim.stats import StatRegistry
 
 
 class DRAMModel:
@@ -26,7 +25,6 @@ class DRAMModel:
     def __init__(self, config: GPUConfig):
         self._config = config
         self._allocated_bytes = 0
-        self.stats = StatRegistry()
 
     # ------------------------------------------------------------------
     # Capacity accounting
@@ -55,14 +53,12 @@ class DRAMModel:
                 f"GPU DRAM exhausted: requested {size_bytes} B, free {self.free_bytes} B"
             )
         self._allocated_bytes += size_bytes
-        self.stats.counter("bytes_reserved", unit="B").add(size_bytes)
 
     def release(self, size_bytes: int) -> None:
         """Account for freeing an allocation of ``size_bytes``."""
         if size_bytes < 0:
             raise ValueError("allocation size must be non-negative")
         self._allocated_bytes = max(0, self._allocated_bytes - size_bytes)
-        self.stats.counter("bytes_released", unit="B").add(size_bytes)
 
     # ------------------------------------------------------------------
     # Bandwidth arithmetic

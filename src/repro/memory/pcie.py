@@ -8,12 +8,11 @@ burst-granular wire time at the configured bandwidth.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.gpu.command_queue import TransferDirection
 from repro.gpu.config import PCIeConfig
 from repro.sim.engine import Simulator
-from repro.sim.stats import StatRegistry, UtilizationTracker
 
 
 class PCIeBus:
@@ -22,14 +21,9 @@ class PCIeBus:
     def __init__(self, config: PCIeConfig, simulator: Simulator):
         self._config = config
         self._sim = simulator
-        self.stats = StatRegistry()
         self._busy: dict[TransferDirection, bool] = {
             TransferDirection.HOST_TO_DEVICE: False,
             TransferDirection.DEVICE_TO_HOST: False,
-        }
-        self.utilization = {
-            TransferDirection.HOST_TO_DEVICE: UtilizationTracker(simulator.now),
-            TransferDirection.DEVICE_TO_HOST: UtilizationTracker(simulator.now),
         }
 
     @property
@@ -63,18 +57,10 @@ class PCIeBus:
             raise RuntimeError(f"PCIe bus is already busy in direction {direction.value}")
         latency = self.transfer_latency_us(size_bytes)
         self._busy[direction] = True
-        self.utilization[direction].set_busy(self._sim.now)
-        self.stats.counter("transfers").add()
-        self.stats.counter("bytes_transferred", unit="B").add(size_bytes)
 
         def _finish() -> None:
             self._busy[direction] = False
-            self.utilization[direction].set_idle(self._sim.now)
             on_complete()
 
         self._sim.schedule(latency, _finish, label=label or f"pcie.{direction.value}")
         return latency
-
-    def utilization_fraction(self, direction: TransferDirection, now: Optional[float] = None) -> float:
-        """Busy fraction of one direction of the link."""
-        return self.utilization[direction].utilization(now if now is not None else self._sim.now)

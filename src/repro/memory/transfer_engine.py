@@ -16,7 +16,6 @@ from repro.gpu.command_queue import Command, TransferCommand, TransferDirection
 from repro.memory.pcie import PCIeBus
 from repro.registry import register_transfer_policy
 from repro.sim.engine import Simulator
-from repro.sim.stats import StatRegistry
 
 
 class TransferSchedulingPolicy(enum.Enum):
@@ -71,7 +70,6 @@ class DataTransferEngine:
             TransferDirection.DEVICE_TO_HOST: None,
         }
         self._backpressure_callbacks: List[Callable[[], None]] = []
-        self.stats = StatRegistry()
 
     # ------------------------------------------------------------------
     # CommandSink interface
@@ -81,7 +79,6 @@ class DataTransferEngine:
         if not isinstance(command, TransferCommand):
             raise TypeError("the data-transfer engine only accepts transfer commands")
         self._waiting.append(command)
-        self.stats.counter("transfers_accepted").add()
         self._dispatch()
         return True
 
@@ -131,7 +128,6 @@ class DataTransferEngine:
                 return
             self._waiting.remove(command)
             self._in_flight[command.direction] = command
-            self.stats.counter("transfers_started").add()
             self._pcie.start_transfer(
                 command.size_bytes,
                 command.direction,
@@ -142,8 +138,6 @@ class DataTransferEngine:
     def _finish(self, command: TransferCommand) -> None:
         """A transfer finished on the bus: notify listeners and dispatch."""
         self._in_flight[command.direction] = None
-        self.stats.counter("transfers_completed").add()
-        self.stats.counter("bytes_transferred", unit="B").add(command.size_bytes)
         command.complete(self._sim.now)
         self._dispatch()
 

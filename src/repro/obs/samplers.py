@@ -5,8 +5,8 @@ closure on the hub; the closure copies live state into the registry right
 before a snapshot row is cut.  Samplers are strictly read-only: they pull
 from counters and trackers the simulation already maintains
 (:class:`~repro.sim.engine.Simulator` bookkeeping, the execution engine's
-:class:`~repro.sim.stats.StatRegistry`, serving queue counters), so enabling
-metrics cannot perturb a run.
+``stats`` counts, serving queue counters), so enabling metrics cannot
+perturb a run.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def attach_engine_metrics(hub: MetricsHub, simulator) -> None:
 
 
 def attach_gpu_metrics(hub: MetricsHub, system) -> None:
-    """Mirror SM utilisation and the execution engine's stat registry.
+    """Mirror SM utilisation and the execution engine's event counts.
 
     Covers per-SM busy fraction (mean/min/max over SMs), block accounting,
     and the per-mechanism preemption counters (``preemptions_via.*`` — the
@@ -63,8 +63,8 @@ def attach_gpu_metrics(hub: MetricsHub, system) -> None:
         blocks_executed.set(sum(sm.blocks_executed for sm in sms))
         blocks_preempted.set(sum(sm.blocks_preempted for sm in sms))
         wave_events.set(sum(sm.completion_waves_fired for sm in sms))
-        for name, value in engine.stats.snapshot().items():
-            registry.counter(f"gpu.{name}").set(value)
+        for name, count in engine.stats.items():
+            registry.counter(f"gpu.{name}").set(float(count))
 
     hub.add_sampler(sample)
 

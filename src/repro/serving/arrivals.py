@@ -30,6 +30,7 @@ import math
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.registry import ARRIVALS, register_arrival
+from repro.serving.metrics import restored_count
 from repro.utils.determinism import hash_uniform
 
 #: Namespace component so arrival draws never collide with other users of
@@ -85,7 +86,7 @@ class ArrivalProcess:
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Reposition the stream at a cursor produced by :meth:`state`."""
-        self._index = int(state["index"])
+        self._index = restored_count(state, "index")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -178,9 +179,11 @@ class MMPPArrivals(ArrivalProcess):
 
     def restore(self, state: Dict[str, Any]) -> None:
         super().restore(state)
-        self._phase = str(state["phase"])
-        self._phase_number = int(state["phase_number"])
-        self._left = int(state["left"])
+        if state["phase"] not in ("on", "off"):
+            raise ValueError(f"phase must be 'on' or 'off', not {state['phase']!r}")
+        self._phase = state["phase"]
+        self._phase_number = restored_count(state, "phase_number")
+        self._left = restored_count(state, "left")
 
 
 @register_arrival(
@@ -294,7 +297,9 @@ class ReplayArrivals(ArrivalProcess):
         super().restore(state)
         # Pre-wrap checkpoints carry no flag; the constructor value stands.
         if "wrap" in state:
-            self.wrap = bool(state["wrap"])
+            if type(state["wrap"]) is not bool:
+                raise ValueError(f"wrap must be a bool, not {state['wrap']!r}")
+            self.wrap = state["wrap"]
 
 
 def make_arrival_process(kind: str, **options) -> ArrivalProcess:

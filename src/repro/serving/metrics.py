@@ -43,6 +43,16 @@ def _round3(value: float) -> float:
     return round(value, 3)
 
 
+def restored_count(state: Mapping[str, Any], key: str) -> int:
+    """``state[key]`` as a restored cursor or count: an ``int`` (not a
+    ``bool``) that is at least 0; anything else raises a :class:`ValueError`
+    naming ``key``."""
+    value = state[key]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} must be a non-negative integer, not {value!r}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # P² streaming quantile estimator
 # ----------------------------------------------------------------------
@@ -148,7 +158,7 @@ class P2Quantile:
     def restore(cls, state: Mapping[str, Any]) -> "P2Quantile":
         """Rebuild an estimator from :meth:`state` output."""
         est = cls(state["q"])
-        est._count = int(state["count"])
+        est._count = restored_count(state, "count")
         est._heights = [float(v) for v in state["heights"]]
         est._positions = [float(v) for v in state["positions"]]
         est._desired = [float(v) for v in state["desired"]]
@@ -202,7 +212,7 @@ class ReservoirSampler:
     def restore(cls, state: Mapping[str, Any]) -> "ReservoirSampler":
         """Rebuild a reservoir from :meth:`state` output."""
         sampler = cls(int(state["capacity"]), seed=int(state["seed"]))
-        sampler._count = int(state["count"])
+        sampler._count = restored_count(state, "count")
         sampler._samples = [float(v) for v in state["samples"]]
         return sampler
 
@@ -318,7 +328,7 @@ class _LatencyStream:
     @classmethod
     def restore(cls, state: Mapping[str, Any]) -> "_LatencyStream":
         stream = cls()
-        stream.count = int(state["count"])
+        stream.count = restored_count(state, "count")
         stream.sum = float(state["sum"])
         stream.max = float(state["max"])
         stream.quantiles = {
@@ -460,11 +470,12 @@ class ServingMetrics:
             seed=int(state["seed"]),
             reservoir_capacity=int(state["reservoir"]["capacity"]),
         )
-        metrics.warmup_discarded = int(state["warmup_discarded"])
-        metrics.completed = int(state["completed"])
-        metrics.zero_service = int(state.get("zero_service", 0))
+        metrics.warmup_discarded = restored_count(state, "warmup_discarded")
+        metrics.completed = restored_count(state, "completed")
+        metrics.zero_service = restored_count(state, "zero_service")
+        violations = state["slo_violations"]
         metrics.slo_violations = {
-            name: int(count) for name, count in state["slo_violations"].items()
+            name: restored_count(violations, name) for name in metrics.slo_violations
         }
         metrics.global_stream = _LatencyStream.restore(state["global"])
         metrics.tenant_streams = {

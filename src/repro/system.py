@@ -37,7 +37,7 @@ from repro.memory.dram import DRAMModel
 from repro.memory.pcie import PCIeBus
 from repro.memory.transfer_engine import DataTransferEngine, TransferSchedulingPolicy
 from repro.sim.engine import Simulator
-from repro.sim.observers import CompositeObserver, implemented_hooks
+from repro.sim.observers import BaseObserver, CompositeObserver, implemented_hooks
 from repro.trace.schema import ApplicationTrace
 
 
@@ -185,7 +185,8 @@ class GPUSystem:
         Observers (see :class:`repro.sim.observers.BaseObserver` for the hook
         vocabulary) must only observe — never schedule events or mutate model
         state — so any number of them can be installed without perturbing the
-        simulation.  Multiple observers are multiplexed through a
+        simulation.  Multiple observers, or one that does not subclass
+        ``BaseObserver`` and so may lack hooks, are multiplexed through a
         :class:`~repro.sim.observers.CompositeObserver`, keeping the
         single-observer hot path a plain attribute check.
         """
@@ -209,9 +210,10 @@ class GPUSystem:
         observers = self._component_observers
         if not observers:
             target = None
-        elif len(observers) == 1:
+        elif len(observers) == 1 and isinstance(observers[0], BaseObserver):
             target = observers[0]
         else:
+            # A composite supplies the no-op hooks a duck-typed observer lacks.
             target = CompositeObserver(observers)
         # The simulator's per-event hooks are wired only to observers of them.
         events = implemented_hooks(target) & {"on_event_scheduled", "on_event_fired"}

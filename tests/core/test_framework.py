@@ -79,7 +79,7 @@ class TestActivation:
     def test_finish_frees_entry_and_returns_command(self, framework):
         command = make_command(blocks=1)
         entry = activate(framework, command)
-        block = command.launch.next_thread_block()
+        (block,) = command.launch.take_fresh_blocks(1)
         block.start(0, 0.0)
         block.complete(1.0)
         command.launch.notify_block_completed(block, 1.0)
@@ -95,16 +95,13 @@ class TestWorkQueries:
         entry = activate(framework, command)
         assert framework.kernel_has_issuable_work(entry.index)
         assert framework.issuable_blocks(entry.index) == 2
-        command.launch.next_thread_block()
-        command.launch.next_thread_block()
+        command.launch.take_fresh_blocks(2)
         assert not framework.kernel_has_issuable_work(entry.index)
 
     def test_preempted_blocks_count_as_issuable_work(self, framework):
         command = make_command(blocks=2)
         entry = activate(framework, command)
-        command.launch.next_thread_block()
-        command.launch.next_thread_block()
-        block = command.launch.block(0)
+        block, _ = command.launch.take_fresh_blocks(2)
         block.start(0, 0.0)
         block.preempt(0.5)
         framework.push_preempted_block(entry.index, block)

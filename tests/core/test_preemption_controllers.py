@@ -129,19 +129,14 @@ class TestStaticController:
         assert HybridController.needs_request is True
         assert AdaptiveController.needs_request is True
 
-    def test_decide_records_selection_stats(self):
-        controller = StaticController(mechanism="context_switch")
-        controller.decide(None)
-        controller.decide(None)
-        assert controller.stats.counter("selected.context_switch").value == 2
-
-    def test_decide_canonicalises_alias_selections(self):
-        # "cs" and "context_switch" must land in one counter, not two.
-        controller = StaticController(mechanism="cs")
-        controller.decide(None)
-        controller.decide(None)
-        assert controller.stats.counter("selected.context_switch").value == 2
-        assert "selected.cs" not in dict(controller.stats.snapshot())
+    def test_alias_selections_are_counted_under_the_canonical_name(self):
+        # "cs" and "context_switch" must land in one count, not two, and
+        # every reservation is counted exactly once.
+        system = build_system(controller=StaticController(mechanism="cs"))
+        system.run(max_events=5_000_000)
+        stats = system.execution_engine.stats
+        assert stats["preemptions_via.context_switch"] == stats["sm_reservations"] > 0
+        assert "preemptions_via.cs" not in stats
 
 
 class TestHybridController:
@@ -173,11 +168,11 @@ class TestHybridController:
         )
         system = build_system(config=config, controller="hybrid")
         system.run(max_events=5_000_000)
-        stats = dict(system.controller.stats.snapshot())
+        stats = system.execution_engine.stats
         # A zero budget can never be met by a busy SM: every preemption of a
         # non-empty SM falls back to the context switch.
-        assert stats.get("selected.context_switch", 0) > 0
-        assert stats.get("selected.draining", 0) == 0
+        assert stats["preemptions_via.context_switch"] > 0
+        assert "preemptions_via.draining" not in stats
 
 
 class TestAdaptiveController:
@@ -301,9 +296,13 @@ class TestEngineRouting:
         system.run(max_events=5_000_000)
         engine = system.execution_engine
         # A zero budget never selects draining, so only the default instance
-        # exists and it carries every latency sample.
+        # exists and it handles every preemption.
         assert set(engine.mechanisms()) == {"context_switch"}
-        assert engine.mechanisms()["context_switch"].latency_stats.count > 0
+        assert (
+            engine.stats["preemptions_via.context_switch"]
+            == engine.stats["preemptions_completed"]
+            > 0
+        )
         # Lookups create and bind on demand; aliases resolve to one instance.
         draining = engine.mechanism_named("draining")
         assert engine.mechanism_named("drain") is draining
@@ -331,3 +330,33 @@ class TestEngineRouting:
         assert snapshot.get("preemptions_via.context_switch", 0) > 0
         assert "preemptions_via.draining" not in snapshot
 
+    def test_engine_report_is_pinned(self):
+        # A 90 us budget splits the seven requests between both mechanisms.
+        system = build_system(controller="hybrid",
+                              controller_options={"drain_budget_us": 90.0})
+        system.run(max_events=5_000_000)
+        snapshot = system.execution_engine.utilization_snapshot()
+        assert snapshot == {
+            "kernel_commands_accepted": 2.0,
+            "kernels_activated": 2.0,
+            "sm_reservations": 7.0,
+            "preemptions_via.context_switch": 4.0,
+            "preemptions_via.draining": 3.0,
+            "preemptions_completed": 7.0,
+            "thread_blocks_evicted": 32.0,
+            "sm_idle_events": 20.0,
+            "kernels_completed": 2.0,
+            "mean_sm_utilization": 0.45252651704669594,
+            "blocks_executed": 5052.0,
+            "blocks_preempted": 32.0,
+            "block_completion_events": 5052.0,
+            "framework.commands_buffered": 2.0,
+            "framework.kernels_activated": 2.0,
+            "framework.sm_reservations": 7.0,
+            "framework.blocks_preempted": 32.0,
+            "framework.kernels_finished": 2.0,
+            "framework.active_kernels": 0.0,
+            "framework.buffered_commands": 0.0,
+            "framework.idle_sms": 13.0,
+        }
+        assert all(type(value) is float for value in snapshot.values())

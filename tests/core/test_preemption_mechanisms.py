@@ -2,8 +2,8 @@
 
 These are integration-style tests: a small system is built with a scheduling
 policy that triggers preemptions (PPQ or DSS) and the behaviour of the
-mechanism is observed through the engine statistics and the timing of the
-high-priority process.
+mechanism is observed through the engine's counts, the telemetry trace's
+preemption latencies and the timing of the high-priority process.
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ from repro.core.preemption import (
     make_mechanism,
 )
 from repro.system import GPUSystem
+from repro.telemetry import preemption_latencies
 from repro.trace.generator import TraceGenerator
 
 
 def build_system(mechanism: str, *, low_blocks=5000, low_tb_time=100.0, high_blocks=52,
-                 high_tb_time=5.0, policy: str = "ppq") -> GPUSystem:
+                 high_tb_time=5.0, policy: str = "ppq", trace: bool = False) -> GPUSystem:
     """One long low-priority kernel plus one short high-priority kernel."""
     generator = TraceGenerator()
-    system = GPUSystem(policy=policy, mechanism=mechanism)
+    system = GPUSystem(policy=policy, mechanism=mechanism, trace=trace)
     low = generator.uniform_kernel(
         "low", num_blocks=low_blocks, tb_time_us=low_tb_time,
         registers_per_block=8192, cpu_time_us=1.0,
@@ -61,25 +62,25 @@ class TestContextSwitch:
         system = build_system("context_switch")
         system.run(max_events=5_000_000)
         engine = system.execution_engine
-        mechanism = engine.mechanism
-        assert mechanism.stats.counter("preemptions_initiated").value > 0
+        assert engine.stats["preemptions_via.context_switch"] > 0
         # Context switching evicts resident blocks into the PTBQ...
-        assert engine.stats.counter("thread_blocks_evicted").value > 0
+        assert engine.stats["thread_blocks_evicted"] > 0
         # ...and the evicted blocks are re-issued later and complete: every
         # process finishes its full run.
         assert system.process("low").completed_iterations == 1
         assert system.process("high").completed_iterations == 1
 
     def test_preemption_latency_close_to_save_time(self):
-        system = build_system("context_switch")
+        system = build_system("context_switch", trace=True)
         system.run(max_events=5_000_000)
-        mechanism = system.execution_engine.mechanism
+        samples = preemption_latencies(system.telemetry.events)["context_switch"]
         config = system.config.gpu
         # 8192 registers/block x 4 B x 8 resident blocks over the per-SM
         # bandwidth share, plus the pipeline drain latency.
         expected_save = 8 * 8192 * 4 / config.per_sm_bandwidth_bytes_per_us
-        assert mechanism.latency_stats.count > 0
-        assert mechanism.latency_stats.mean <= expected_save + config.pipeline_drain_latency_us + 1.0
+        assert samples
+        mean = sum(samples) / len(samples)
+        assert mean <= expected_save + config.pipeline_drain_latency_us + 1.0
 
     def test_restore_latency_positive(self):
         mechanism = ContextSwitchMechanism()
@@ -104,8 +105,8 @@ class TestDraining:
         system = build_system("draining")
         system.run(max_events=5_000_000)
         engine = system.execution_engine
-        assert engine.stats.counter("thread_blocks_evicted").value == 0
-        assert engine.stats.counter("preemptions_completed").value > 0
+        assert engine.stats["thread_blocks_evicted"] == 0
+        assert engine.stats["preemptions_completed"] > 0
         assert system.process("high").completed_iterations == 1
 
     def test_draining_restore_latency_is_zero(self):
@@ -113,14 +114,14 @@ class TestDraining:
         assert mechanism.restore_latency_us(None, state_bytes_per_block=1 << 20) == 0.0
 
     def test_draining_latency_bounded_by_block_execution_time(self):
-        system = build_system("draining")
+        system = build_system("draining", trace=True)
         system.run(max_events=5_000_000)
-        mechanism = system.execution_engine.mechanism
-        assert mechanism.latency_stats.count > 0
+        samples = preemption_latencies(system.telemetry.events)["draining"]
+        assert samples
         # A reserved SM drains once its resident blocks (100 us each, started
         # at various times) finish: the latency can never exceed one block
         # execution time (with up to 15% jitter) plus the issue latency.
-        assert mechanism.latency_stats.maximum <= 100.0 * 1.15 + 1.0
+        assert max(samples) <= 100.0 * 1.15 + 1.0
 
 
 class TestPersistentKernels:

@@ -128,12 +128,6 @@ class TestBackpressure:
         assert execution.received == [command]
         assert dispatcher.queue(0).depth == 0
 
-    def test_backpressure_counted_in_stats(self, setup):
-        dispatcher, execution, _ = setup
-        execution.accept = False
-        dispatcher.enqueue(0, make_kernel_command())
-        assert dispatcher.stats.counter("backpressure_stalls").value >= 1
-
 
 def test_dispatcher_requires_at_least_one_queue(simulator):
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.sm import SMState, StreamingMultiprocessor
+from repro.gpu.sm import SMState, StreamingMultiprocessor, UtilizationTracker
 from repro.gpu.thread_block import ThreadBlock, ThreadBlockState
 
 
@@ -134,6 +134,37 @@ class TestUtilization:
         simulator.run()
         # Busy 10 us out of 20 us total.
         assert sm.busy_fraction() == pytest.approx(0.5, abs=0.01)
+
+
+class TestUtilizationTracker:
+    def test_fully_busy(self):
+        tracker = UtilizationTracker(0.0)
+        tracker.set_busy(0.0)
+        assert tracker.utilization(10.0) == pytest.approx(1.0)
+
+    def test_half_busy(self):
+        tracker = UtilizationTracker(0.0)
+        tracker.set_busy(0.0)
+        tracker.set_idle(5.0)
+        assert tracker.utilization(10.0) == pytest.approx(0.5)
+        assert tracker.busy_time(10.0) == pytest.approx(5.0)
+
+    def test_idempotent_transitions(self):
+        tracker = UtilizationTracker(0.0)
+        tracker.set_busy(1.0)
+        tracker.set_busy(2.0)
+        tracker.set_idle(3.0)
+        tracker.set_idle(4.0)
+        assert tracker.busy_time(10.0) == pytest.approx(2.0)
+
+    def test_zero_window(self):
+        tracker = UtilizationTracker(5.0)
+        assert tracker.utilization(5.0) == 0.0
+
+    def test_utilization_capped_at_one(self):
+        tracker = UtilizationTracker(1.0)
+        tracker.set_busy(0.0)
+        assert tracker.utilization(2.0) <= 1.0
 
 
 class TestWaveBatching:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -121,13 +122,29 @@ class TestExecution:
         for name in sorted(names):
             system.add_process(name, trace, max_iterations=1)
         system.run(max_events=5_000_000)
-        assert system.execution_engine.stats.counter("kernels_completed").value == 2 * launches
+        assert system.execution_engine.stats["kernels_completed"] == 2 * launches
         gc.collect()
         live = [
             obj for obj in gc.get_objects()
             if isinstance(obj, KernelLaunch) and obj.process_name in names
         ]
         assert live == []
+
+    def test_issued_blocks_are_not_retained_by_their_launch(self, trace_generator):
+        """Peak memory of one jittered 20,000-block kernel stays near one SM
+        wave of blocks: a launch keeping every block it issued until it
+        finishes peaks above 6 MiB here."""
+        system = GPUSystem()
+        trace = trace_generator.uniform_kernel("big", num_blocks=20_000, tb_time_us=5.0)
+        system.add_process("big", trace, max_iterations=1)
+        tracemalloc.start()
+        try:
+            system.run(max_events=5_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.process("big").completed_iterations == 1
+        assert peak < 4 * 2**20
 
     def test_isolation_across_processes(self, demo_trace):
         """Concurrent processes never map the same physical frame."""
@@ -175,6 +192,20 @@ class TestObserverWiring:
         observer = FiredEvents()
         system.install_observer(observer)
         assert system.simulator.observer is observer
+        system.add_process("a", demo_trace, max_iterations=1)
+        system.run(max_events=5_000_000)
+        assert observer.fired == system.simulator.events_processed > 0
+
+    def test_lone_duck_typed_observer_needs_only_its_own_hooks(self, demo_trace):
+        class FiredEvents:  # not a BaseObserver: no inherited no-op hooks
+            fired = 0
+
+            def on_event_fired(self, event, previous_now) -> None:
+                self.fired += 1
+
+        system = GPUSystem(policy="fcfs")
+        observer = FiredEvents()
+        system.install_observer(observer)
         system.add_process("a", demo_trace, max_iterations=1)
         system.run(max_events=5_000_000)
         assert observer.fired == system.simulator.events_processed > 0

@@ -125,11 +125,11 @@ class TestCleanRuns:
 
         hub = system.validation
         assert hub is not None and hub.ok, hub.to_dicts()
-        stats = dict(system.controller.stats.snapshot())
+        stats = system.execution_engine.stats
         # Both sides of the fallback fired: some requests drained within the
         # deadline, others fell back to the context switch.
-        assert stats.get("selected.draining", 0) > 0
-        assert stats.get("selected.context_switch", 0) > 0
+        assert stats["preemptions_via.draining"] > 0
+        assert stats["preemptions_via.context_switch"] > 0
         preemption = next(c for c in hub.checkers if isinstance(c, PreemptionChecker))
         assert preemption.saved_bytes > 0
         assert preemption.saved_bytes == (
