@@ -164,6 +164,34 @@ def test_empty_metrics_spec_attaches_hub_with_defaults():
     assert system.metrics.rows
 
 
+def test_gpu_sampler_mirrors_every_engine_count():
+    """The last row carries each execution-engine count as ``gpu.<name>``,
+    the per-mechanism preemption counts included."""
+    from repro.system import GPUSystem
+    from repro.trace.generator import TraceGenerator
+
+    generator = TraceGenerator()
+    # A 90 us drain budget splits the preemptions between both mechanisms.
+    system = GPUSystem(policy="ppq", controller="hybrid",
+                       controller_options={"drain_budget_us": 90.0}, metrics={})
+    low = generator.uniform_kernel("low", num_blocks=5000, tb_time_us=100.0,
+                                   registers_per_block=8192, cpu_time_us=1.0)
+    high = generator.uniform_kernel("high", num_blocks=52, tb_time_us=5.0,
+                                    registers_per_block=8192, cpu_time_us=1.0)
+    system.add_process("low", low, priority=0, max_iterations=1)
+    system.add_process("high", high, priority=10, start_delay_us=2000.0, max_iterations=1)
+    system.run(max_events=5_000_000)
+
+    stats = system.execution_engine.stats
+    assert stats["preemptions_via.context_switch"] > 0
+    assert stats["preemptions_via.draining"] > 0
+    row = system.metrics.rows[-1]
+    assert row["t_us"] == system.simulator.now
+    assert {name: row["metrics"][f"gpu.{name}"] for name in stats} == {
+        name: float(count) for name, count in stats.items()
+    }
+
+
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------

@@ -147,6 +147,16 @@ def test_reservoir_rejects_bad_capacity():
         ReservoirSampler(0)
 
 
+@pytest.mark.parametrize("cls, arg", [(P2Quantile, 0.5), (ReservoirSampler, 8)])
+def test_state_restore_rejects_a_boolean_count(cls, arg):
+    estimator = cls(arg)
+    for value in (3.0, 1.0, 2.0):
+        estimator.add(value)
+    state = {**json.loads(json.dumps(estimator.state())), "count": True}
+    with pytest.raises(ValueError, match="count"):
+        cls.restore(state)
+
+
 # ----------------------------------------------------------------------
 # Sliding window
 # ----------------------------------------------------------------------
