@@ -26,7 +26,7 @@ from repro.core.framework.tables import (
 )
 from repro.gpu.command_queue import KernelCommand
 from repro.gpu.config import SystemConfig
-from repro.gpu.kernel import KernelLaunch, KernelState
+from repro.gpu.kernel import KernelState
 from repro.gpu.sm import SMState
 from repro.gpu.thread_block import ThreadBlock
 
@@ -237,12 +237,7 @@ class SchedulingFramework:
         self.smst.set_state(sm_id, SMState.IDLE)
         entry.ksr_index = None
         entry.next_ksr_index = None
-        entry.running_blocks = 0
         return previous
-
-    def set_sm_running_blocks(self, sm_id: int, count: int) -> None:
-        """Update the SMST's count of running thread blocks on ``sm_id``."""
-        self.smst.entry(sm_id).running_blocks = count
 
     # ------------------------------------------------------------------
     # PTBQ
@@ -269,10 +264,6 @@ class SchedulingFramework:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def command_for_launch(self, launch: KernelLaunch) -> Optional[KernelCommand]:
-        """The kernel command associated with an active launch."""
-        return self._commands_by_launch.get(launch.launch_id)
-
     def snapshot(self) -> Dict[str, float]:
         """Flat dictionary of framework counters (for experiment reports)."""
         out = {name: float(count) for name, count in self.stats.items()}

@@ -146,8 +146,10 @@ class SMStatusEntry:
     """One entry of the SM Status Table.
 
     Tracks the kernel being executed (KSR index), the state of the SM (idle,
-    setup, running or reserved), the number of running thread blocks, and the
-    KSR index of the *next* kernel when the SM is reserved (paper Sec. 3.3).
+    setup, running or reserved), and the KSR index of the *next* kernel when
+    the SM is reserved (paper Sec. 3.3).  The paper's count of running thread
+    blocks lives on the SM itself, as
+    :attr:`~repro.gpu.sm.StreamingMultiprocessor.resident_blocks`.
 
     :attr:`state` is read-only on the entry: transitions must go through
     :meth:`SMStatusTable.set_state`, which keeps the table's incremental
@@ -155,7 +157,7 @@ class SMStatusEntry:
     ``idle_sms()`` and ``reserved_count``).
     """
 
-    __slots__ = ("sm_id", "_state", "ksr_index", "next_ksr_index", "running_blocks")
+    __slots__ = ("sm_id", "_state", "ksr_index", "next_ksr_index")
 
     def __init__(
         self,
@@ -163,13 +165,11 @@ class SMStatusEntry:
         state: SMState = SMState.IDLE,
         ksr_index: Optional[int] = None,
         next_ksr_index: Optional[int] = None,
-        running_blocks: int = 0,
     ):
         self.sm_id = sm_id
         self._state = state
         self.ksr_index = ksr_index
         self.next_ksr_index = next_ksr_index
-        self.running_blocks = running_blocks
 
     @property
     def state(self) -> SMState:
@@ -194,7 +194,7 @@ class SMStatusEntry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SMST(sm={self.sm_id}, state={self.state.value}, ksr={self.ksr_index}, "
-            f"next={self.next_ksr_index}, blocks={self.running_blocks})"
+            f"next={self.next_ksr_index})"
         )
 
 

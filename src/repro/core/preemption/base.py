@@ -12,9 +12,9 @@ A mechanism is invoked in two situations:
 * :meth:`PreemptionMechanism.initiate` — the scheduling policy just reserved
   the SM; the mechanism must free it (immediately, by saving state, or by
   waiting for draining).
-* :meth:`PreemptionMechanism.on_block_completed` — a thread block resident on
-  a reserved SM completed naturally; the mechanism decides whether the SM is
-  now free.
+* :meth:`PreemptionMechanism.on_block_completed` — a unit resident on a
+  reserved SM (a thread block, or a span of fresh blocks) completed
+  naturally; the mechanism decides whether the SM is now free.
 
 When the SM is free the mechanism calls
 :meth:`PreemptionHost.preemption_complete`, handing back any thread blocks it
@@ -89,9 +89,11 @@ class PreemptionMechanism(abc.ABC):
 
     @abc.abstractmethod
     def on_block_completed(self, sm: StreamingMultiprocessor) -> None:
-        """A resident block of a reserved SM completed naturally.
+        """A resident unit of a reserved SM completed naturally.
 
-        The mechanism decides whether the SM is now free; if so it calls
+        Called once per retired unit: a thread block, or a whole
+        :class:`~repro.gpu.blockrun.BlockRun` span.  The mechanism decides
+        whether the SM is now free; if so it calls
         :meth:`PreemptionHost.preemption_complete`.
         """
 

@@ -12,16 +12,18 @@ contiguous span of never-issued blocks of one launch, all started at the
 same instant with the same execution time (no jitter), hence one shared
 completion instant.  The SM driver issues a run with one call
 (:meth:`~repro.gpu.sm.StreamingMultiprocessor.start_run`), the wave event
-carries one entry for it, and completion retires the whole span in O(1)
-(:meth:`~repro.gpu.kernel.KernelLaunch.note_span_completed`).
+carries one entry for it, and completion retires the whole span in O(1) on
+the one retire path, where a thread block is a span of one
+(:meth:`~repro.gpu.sm.StreamingMultiprocessor._retire`).
 
 The representation is *reversible*: the moment anything needs real blocks —
-an observer is attached, the SM is preempted (``evict_all``), a policy
-builds a preemption request over ``resident()``, a per-block issue lands on
-the SM, or the kernel is about to finish — the run is materialised into the
-exact :class:`ThreadBlock` objects (and wave entries, in the exact event
-positions) the per-block path would have produced, and execution continues
-on the classic path.  ``tests/gpu/test_wave_equivalence.py`` proves the
+an observer is installed, the SM is preempted (``evict_all``), a policy
+builds a preemption request over ``resident()``, or a per-block issue lands
+on the SM — the run is materialised into the exact :class:`ThreadBlock`
+objects (and wave entries, in the exact event positions) the per-block path
+would have produced, and execution continues on the classic path.  A span
+that holds its kernel's last block, or retires on a reserved SM, retires
+whole.  ``tests/gpu/test_wave_equivalence.py`` proves the
 whole construction byte-identical to the forced per-block engine.
 """
 

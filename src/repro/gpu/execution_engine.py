@@ -40,7 +40,7 @@ from repro.gpu.command_queue import Command, KernelCommand
 from repro.gpu.config import SystemConfig
 from repro.gpu.context import ContextTable, GPUContext
 from repro.gpu.resources import OccupancyCalculator
-from repro.gpu.sm import SMState, StreamingMultiprocessor, WaveAnchor
+from repro.gpu.sm import StreamingMultiprocessor, WaveAnchor
 from repro.gpu.sm_driver import SMDriver
 from repro.gpu.thread_block import ThreadBlock
 from repro.sim.engine import Simulator
@@ -189,7 +189,6 @@ class ExecutionEngine:
         """
         self.framework.mark_sm_reserved(sm_id, next_ksr_index)
         sm = self._sms[sm_id]
-        sm.state = SMState.RESERVED
         self.stats["sm_reservations"] += 1
         # Request-independent controllers (static) skip the snapshot: the
         # legacy hot path pays no per-preemption bookkeeping it would discard.
@@ -358,10 +357,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def busy_sm_count(self) -> int:
-        """Number of SMs currently holding at least one thread block."""
-        return sum(1 for sm in self._sms if not sm.is_empty)
-
     def utilization_snapshot(self) -> Dict[str, float]:
         """Aggregate utilisation and bookkeeping statistics."""
         now = self._sim.now

@@ -215,34 +215,13 @@ class KernelLaunch:
             out.append(block)
         return out
 
-    def note_span_completed(self, count: int, now: float) -> None:
-        """Record the completion of ``count`` never-materialised blocks.
-
-        The O(1) bulk twin of :meth:`notify_block_completed` used when a
-        whole :class:`~repro.gpu.blockrun.BlockRun` retires: each block
-        would have contributed exactly one counter increment (their launch
-        cannot finish mid-span; the driver falls back to the per-block path
-        for a span that would finish the kernel, so the FINISHED transition
-        always happens there — but handle it anyway for direct callers).
-        """
-        self._completed_blocks += count
-        if self._completed_blocks > self.spec.num_thread_blocks:  # pragma: no cover
-            raise RuntimeError("more thread blocks completed than the kernel has")
-        if self.all_blocks_completed:
-            self.state = KernelState.FINISHED
-            self.completion_time_us = now
-            if self.on_complete is not None:
-                self.on_complete(self, now)
-
-    def notify_block_completed(self, block: ThreadBlock, now: float) -> None:
-        """Record the completion of one thread block.
+    def note_completed(self, count: int, now: float) -> None:
+        """Record the completion of ``count`` blocks: one block, or a span.
 
         When the last block completes, the launch transitions to FINISHED and
         the ``on_complete`` callback (installed by the host model) fires.
         """
-        if block.state is not ThreadBlockState.COMPLETED:
-            raise ValueError("notify_block_completed called with a non-completed block")
-        self._completed_blocks += 1
+        self._completed_blocks += count
         if self._completed_blocks > self.spec.num_thread_blocks:  # pragma: no cover
             raise RuntimeError("more thread blocks completed than the kernel has")
         if self.all_blocks_completed:

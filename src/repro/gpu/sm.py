@@ -38,20 +38,13 @@ from repro.sim.events import EventHandle
 class Wave:
     """One completion event shared by thread blocks finishing at one instant.
 
-    A wave may span several SMs: entries are ``(sm, block, on_complete)``
-    triples in exact per-block-event order.  Firing completes each block
-    through its own SM's bookkeeping, skipping blocks whose completion was
-    superseded (evicted, or evicted and re-issued with a new event) via an
-    identity check against the wave the block is currently registered under.
-
-    An entry retires on one of two paths.  A :class:`ThreadBlock` completes
-    through :meth:`StreamingMultiprocessor._finish_block` and its SM's
-    completion callback.  A :class:`BlockRun` on an SM with no observer is
-    offered to the callback's ``batch_complete_run`` handler (see
-    :meth:`repro.gpu.sm_driver.SMDriver._completion_callback`), which
-    retires the whole run and refills the SM once.  The handler accepts only
-    runs it can prove behave identically to per-block processing; anything
-    else is materialised into per-block entries in place.
+    A wave may span several SMs: entries are ``(sm, unit, on_complete)``
+    triples in exact per-block-event order, where a unit is a
+    :class:`ThreadBlock` or a :class:`BlockRun` span of fresh blocks.  Firing
+    retires each unit through its own SM's
+    :meth:`StreamingMultiprocessor._retire`, skipping units whose completion
+    was superseded (evicted, or evicted and re-issued with a new event) via an
+    identity check against the wave the unit is currently registered under.
     """
 
     __slots__ = ("time", "seq", "handle", "event", "entries", "live")
@@ -73,41 +66,22 @@ class Wave:
 
     def fire(self) -> None:
         entries = self.entries
+        first_sm = entries[0][0]
         # Attributed to the first SM of the wave; summing the counter over
         # all SMs yields the exact number of fired block-carrying heap
         # events, which the scale benchmark uses to convert raw event counts
         # into block-equivalent throughput.
-        entries[0][0].completion_waves_fired += 1
-        hist = entries[0][0].metrics_wave_hist
+        first_sm.completion_waves_fired += 1
+        hist = first_sm.metrics_wave_hist
         if hist is not None:
-            # Wave size in *blocks*: a BlockRun entry stands for the count
-            # of per-block entries it compressed away.
-            hist.observe(
-                sum(e[1].count if e[1].__class__ is BlockRun else 1 for e in entries)
-            )
-        n = len(entries)
-        i = 0
-        while i < n:
-            sm, block, on_complete = entries[i]
-            if sm._completions.get(block.key) is not self:
-                i += 1
-                continue
-            if block.__class__ is BlockRun:
-                if sm.observer is None:
-                    batch_run = getattr(on_complete, "batch_complete_run", None)
-                    if batch_run is not None and batch_run(sm, block, self):
-                        i += 1
-                        continue
-                # Fallback (observer attached since issue, SM reserved, or
-                # the kernel would finish inside the run): materialise in
-                # place.  The splice puts one per-block entry in exactly the
-                # event positions the per-block path would have used; reloop
-                # without advancing so they are processed normally.
-                sm._materialize_run(block)
-                n = len(entries)
-                continue
-            sm._finish_block(block, on_complete)
-            i += 1
+            # Wave size in *blocks*: a span counts each of its blocks.
+            hist.observe(sum(entry[1].count for entry in entries))
+        # A retire may rebuild another SM's span of this wave as blocks
+        # (``resident()``), splicing their entries in after the current one;
+        # list iteration reads the length at each step, so they fire too.
+        for sm, unit, on_complete in entries:
+            if sm._completions.get(unit.key) is self:
+                sm._retire(unit, on_complete)
 
 
 class WaveAnchor:
@@ -140,29 +114,43 @@ class UtilizationTracker:
     """Tracks the fraction of time a resource spends busy.
 
     The resource reports ``set_busy``/``set_idle`` transitions; the tracker
-    accumulates busy time between them.
+    accumulates busy time between them.  An idle gap of zero length does not
+    split a busy interval: ``set_busy`` at the instant of the last
+    ``set_idle`` resumes it, so the float sum does not depend on whether the
+    resource emptied and refilled within one instant.
     """
 
     def __init__(self, start_time: float = 0.0):
         self._busy_since: Optional[float] = None
+        #: End of the last busy interval, added to ``_busy_time`` only when a
+        #: later ``set_busy`` starts a new one.
+        self._idle_since: Optional[float] = None
         self._busy_time = 0.0
         self._start_time = start_time
 
     def set_busy(self, now: float) -> None:
         """Mark the resource busy starting at ``now`` (idempotent)."""
-        if self._busy_since is None:
+        idle_since = self._idle_since
+        if idle_since is not None:
+            self._idle_since = None
+            if now == idle_since:
+                return
+            self._busy_time += idle_since - self._busy_since
+            self._busy_since = now
+        elif self._busy_since is None:
             self._busy_since = now
 
     def set_idle(self, now: float) -> None:
         """Mark the resource idle at ``now`` (idempotent)."""
-        if self._busy_since is not None:
-            self._busy_time += now - self._busy_since
-            self._busy_since = None
+        if self._busy_since is not None and self._idle_since is None:
+            self._idle_since = now
 
     def busy_time(self, now: float) -> float:
         """Total busy time observed up to ``now``."""
-        extra = (now - self._busy_since) if self._busy_since is not None else 0.0
-        return self._busy_time + extra
+        if self._busy_since is None:
+            return self._busy_time
+        end = self._idle_since if self._idle_since is not None else now
+        return self._busy_time + (end - self._busy_since)
 
     def utilization(self, now: float) -> float:
         """Busy fraction in ``[0, 1]`` over the window ``[start_time, now]``."""
@@ -199,7 +187,6 @@ class StreamingMultiprocessor:
         #: SM gets a private one).
         self._wave_anchor = wave_anchor if wave_anchor is not None else WaveAnchor()
 
-        self.state = SMState.IDLE
         #: Per-SM context registers added by the paper (Sec. 3.1).
         self.context_id_register: Optional[int] = None
         self.page_table_register: Optional[int] = None
@@ -233,8 +220,6 @@ class StreamingMultiprocessor:
         self.utilization = UtilizationTracker(simulator.now)
         self.blocks_executed = 0
         self.blocks_preempted = 0
-        self.preemptions = 0
-        self.setups = 0
         #: Block-carrying completion events that fired with this SM as the
         #: wave's first entry (see :meth:`Wave.fire`).
         self.completion_waves_fired = 0
@@ -263,13 +248,11 @@ class StreamingMultiprocessor:
         self.page_table_register = page_table_base
         self.max_resident_blocks = max_resident_blocks
         self.shared_memory_config = shared_memory_config
-        self.state = SMState.RUNNING
-        self.setups += 1
         if self.observer is not None:
             self.observer.on_sm_configured(self)
 
     def release(self) -> None:
-        """Clear the SM's kernel/context registers and return it to IDLE."""
+        """Clear the SM's kernel/context registers."""
         if not self.is_empty:
             raise RuntimeError(f"SM{self.sm_id}: release() while thread blocks are resident")
         self.ksr_index = None
@@ -279,7 +262,6 @@ class StreamingMultiprocessor:
         # Reset the shared-memory partition select: a released SM must not
         # leak the previous kernel's configuration into the next setup.
         self.shared_memory_config = self.config.default_shared_memory_bytes
-        self.state = SMState.IDLE
         self.utilization.set_idle(self._sim.now)
         if self.observer is not None:
             self.observer.on_sm_released(self)
@@ -291,11 +273,6 @@ class StreamingMultiprocessor:
     def resident_blocks(self) -> int:
         """Number of thread blocks currently resident (runs included)."""
         return len(self._resident) + self._run_blocks
-
-    @property
-    def has_free_slots(self) -> bool:
-        """Whether another block of the current kernel fits on the SM."""
-        return self.resident_blocks < self.max_resident_blocks
 
     @property
     def is_empty(self) -> bool:
@@ -311,22 +288,6 @@ class StreamingMultiprocessor:
         if self._runs:
             self._materialize_runs()
         return list(self._resident.values())
-
-    def start_block(
-        self,
-        block: ThreadBlock,
-        *,
-        extra_latency_us: float,
-        on_complete: Callable[[ThreadBlock], None],
-    ) -> None:
-        """Begin executing one ``block`` on this SM.
-
-        ``extra_latency_us`` accounts for issue latency and, for preempted
-        blocks, the context-restore time; it is added before the block's
-        remaining execution time.  ``on_complete`` is invoked when the block
-        finishes (unless the completion is cancelled by a preemption).
-        """
-        self.start_blocks([(block, extra_latency_us)], on_complete=on_complete)
 
     def start_blocks(
         self,
@@ -505,28 +466,22 @@ class StreamingMultiprocessor:
         )
 
     def _materialize_runs(self) -> None:
-        """Convert every resident run into per-block state, in issue order."""
-        for run in list(self._runs.values()):
-            self._materialize_run(run)
+        """Replace every resident span by the exact per-block state it stands for.
 
-    def _materialize_run(self, run: BlockRun) -> List[ThreadBlock]:
-        """Replace one run by the exact per-block state it stands for.
-
-        Creates the span's ThreadBlocks (registered with their launch,
-        RUNNING since the run's start instant), makes them resident in issue
-        order, and splices per-block entries into the run's wave at the
-        run's exact position — so subsequent firing, eviction and completion
-        are indistinguishable from the per-block path.
+        Creates each span's ThreadBlocks (RUNNING since the span's start
+        instant), makes them resident in issue order, and splices per-block
+        entries into the span's wave at the span's exact position — so later
+        firing, eviction and completion are indistinguishable from the
+        per-block path.  ``live`` already counts a span's blocks one by one.
         """
-        del self._runs[run.key]
-        self._run_blocks -= run.count
-        completions = self._completions
-        wave = completions.pop(run.key, None)
-        blocks = run.materialise(self.sm_id)
         resident = self._resident
-        for block in blocks:
-            resident[block.key] = block
-        if wave is not None:
+        completions = self._completions
+        for run in self._runs.values():
+            wave = completions.pop(run.key)
+            blocks = run.materialise(self.sm_id)
+            for block in blocks:
+                resident[block.key] = block
+                completions[block.key] = wave
             entries = wave.entries
             for index, entry in enumerate(entries):
                 if entry[1] is run:
@@ -535,26 +490,31 @@ class StreamingMultiprocessor:
                         (self, block, on_complete) for block in blocks
                     ]
                     break
-            for block in blocks:
-                completions[block.key] = wave
-            # ``live`` already counts the run's blocks individually.
-        return blocks
+        self._runs.clear()
+        self._run_blocks = 0
 
-    def _finish_block(self, block: ThreadBlock, on_complete: Callable[[ThreadBlock], None]) -> None:
-        """Internal completion callback for a resident block."""
+    def _retire(self, unit: ThreadBlock | BlockRun, on_complete: Callable) -> None:
+        """Retire a unit whose completion fired: a thread block or a span.
+
+        Spans never live on an observed SM (installing an observer rebuilds
+        them as blocks), so the observer only ever sees thread blocks.
+        """
         now = self._sim.now
-        key = block.key
-        wave = self._completions.pop(key, None)
-        if wave is not None:
-            wave.live -= 1
-        self._resident.pop(key, None)
-        block.complete(now)
-        self.blocks_executed += 1
-        if not self._resident:
+        key = unit.key
+        count = unit.count
+        self._completions.pop(key).live -= count
+        if unit.__class__ is BlockRun:
+            del self._runs[key]
+            self._run_blocks -= count
+        else:
+            del self._resident[key]
+            unit.complete(now)
+        self.blocks_executed += count
+        if not self._resident and not self._run_blocks:
             self.utilization.set_idle(now)
         if self.observer is not None:
-            self.observer.on_block_completed(self, block)
-        on_complete(block)
+            self.observer.on_block_completed(self, unit)
+        on_complete(unit)
 
     def evict_all(self) -> list[ThreadBlock]:
         """Preempt every resident block (context-switch mechanism).
@@ -581,8 +541,6 @@ class StreamingMultiprocessor:
             evicted.append(block)
             del self._resident[key]
             self.blocks_preempted += 1
-        if evicted:
-            self.preemptions += 1
         if not self._resident:
             self.utilization.set_idle(now)
         if evicted and self.observer is not None:
@@ -598,6 +556,6 @@ class StreamingMultiprocessor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SM(id={self.sm_id}, state={self.state.value}, ksr={self.ksr_index}, "
+            f"SM(id={self.sm_id}, ksr={self.ksr_index}, "
             f"resident={self.resident_blocks}/{self.max_resident_blocks})"
         )

@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.gpu.blockrun import BlockRun
-from repro.gpu.kernel import KernelLaunch
-from repro.gpu.sm import SMState, StreamingMultiprocessor
+from repro.gpu.sm import SMState
 from repro.gpu.thread_block import ThreadBlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -66,8 +65,6 @@ class SMDriver:
         if not framework.ksr_valid(ksr_index):
             raise ValueError(f"cannot set up SM{sm_id} for invalid KSR {ksr_index}")
         framework.mark_sm_setup(sm_id, ksr_index)
-        sm = self._engine.sm(sm_id)
-        sm.state = SMState.SETUP
         expected_launch_id = framework.ksr(ksr_index).launch.launch_id
         self._sim.schedule(
             self._config.gpu.sm_setup_latency_us,
@@ -187,22 +184,22 @@ class SMDriver:
                     if callback is None:
                         callback = self._completion_callback(sm.sm_id)
                     sm.start_blocks(issues, on_complete=callback)
-        run_blocks = sm._run_blocks
-        sm_entry.running_blocks = len(resident) + run_blocks
 
-        if not resident and not run_blocks:
+        if not resident and not sm._run_blocks:
             self._release_sm(sm.sm_id, owner_ksr=ksr_index)
 
     def _completion_callback(self, sm_id: int):
-        """The (cached) per-SM completion callback handed to issued blocks.
+        """The (cached) per-SM completion callback handed to issued units.
 
-        The callback retires one :class:`ThreadBlock`; its
-        ``batch_complete_run`` attribute retires a whole :class:`BlockRun`.
-        These are the only two retire paths.  When the kernel finishes, the
-        SM (necessarily empty) is released *before* ``finish_kernel`` is
-        announced, so policy hooks never observe a stale RUNNING association;
-        a RESERVED SM routes the completion to the mechanism owning its
-        preemption; a RUNNING SM is refilled.
+        The callback retires one unit — a :class:`ThreadBlock`, or a
+        :class:`~repro.gpu.blockrun.BlockRun` of ``count`` fresh blocks — in
+        any SMST state.  A resident unit belongs to the kernel the SMST entry
+        names (only an empty SM is configured), and that kernel can finish
+        only on its last unit.  When it finishes, the SM (necessarily empty)
+        is released *before* ``finish_kernel`` is announced, so policy hooks
+        never observe a stale RUNNING association; a RESERVED SM routes the
+        completion to the mechanism owning its preemption; a RUNNING SM is
+        refilled.
 
         The closure pre-binds every per-run-stable object (engine, framework,
         SM, SMST entry, simulator): block completion is the hottest
@@ -216,22 +213,17 @@ class SMDriver:
             simulator = engine.simulator
             sm = engine.sm(sm_id)
             sm_entry = framework.sm_entry(sm_id)
-            index_for_launch = framework.ksrt.index_for_launch
-            ksr = framework.ksr
-            resident = sm._resident
+            ksr = framework.ksrt.get
 
-            def callback(block: ThreadBlock) -> None:
-                sm_entry.running_blocks = len(resident) + sm._run_blocks
-                ksr_index = index_for_launch(block.kernel_launch_id)
-                if ksr_index is None:  # pragma: no cover - defensive
-                    raise RuntimeError("completed block belongs to no active kernel")
+            def callback(unit: ThreadBlock | BlockRun) -> None:
+                ksr_index = sm_entry.ksr_index
                 entry = ksr(ksr_index)
                 launch = entry.launch
-                launch.notify_block_completed(block, simulator.now)
+                launch.note_completed(unit.count, simulator.now)
 
                 if launch.all_blocks_completed:
                     # Release before finish_kernel (see the docstring).
-                    if sm_entry.state is SMState.RUNNING and not resident and not sm._run_blocks:
+                    if sm_entry.state is SMState.RUNNING:
                         self._release_sm(sm_id, owner_ksr=ksr_index)
                     engine.finish_kernel(ksr_index)
 
@@ -243,43 +235,6 @@ class SMDriver:
                     # entry and this callback can be reused by the fill.
                     self._fill_running_sm(sm, sm_entry, framework, entry, callback)
 
-            def batch_complete_run(sm, run, wave) -> bool:
-                """Retire a whole vectorised run in O(1) (see repro.gpu.blockrun).
-
-                Accepts the run only when it provably behaves identically to
-                per-block processing: the SM must still be RUNNING the run's
-                kernel and the kernel must not finish within the run (so no
-                release / finish-kernel / mechanism hooks interleave).  The
-                SM is then refilled once.  Returning ``False`` makes the wave
-                materialise the run and retire its blocks one by one through
-                ``callback``.
-                """
-                if sm_entry.state is not SMState.RUNNING:
-                    return False
-                launch = run.launch
-                ksr_index = index_for_launch(launch.launch_id)
-                if ksr_index is None or ksr_index != sm_entry.ksr_index:
-                    return False
-                entry = ksr(ksr_index)
-                if entry.launch is not launch:
-                    return False
-                count = run.count
-                if launch.completed_blocks + count >= launch.spec.num_thread_blocks:
-                    return False
-                now = simulator.now
-                del sm._completions[run.key]
-                del sm._runs[run.key]
-                sm._run_blocks -= count
-                launch.note_span_completed(count, now)
-                wave.live -= count
-                sm.blocks_executed += count
-                if not resident and not sm._run_blocks:
-                    sm.utilization.set_idle(now)
-                sm_entry.running_blocks = len(resident) + sm._run_blocks
-                self._fill_running_sm(sm, sm_entry, framework, entry, callback)
-                return True
-
-            callback.batch_complete_run = batch_complete_run
             self._completion_callbacks[sm_id] = callback
         return callback
 
@@ -294,7 +249,6 @@ class SMDriver:
         for, or released to the idle pool if that kernel no longer needs it.
         """
         framework = self._framework
-        sm = self._engine.sm(sm_id)
         sm_entry = framework.sm_entry(sm_id)
         if sm_entry.state is not SMState.RESERVED:
             # The reservation was already resolved through another path (e.g.
@@ -317,8 +271,7 @@ class SMDriver:
         owner = next_ksr if next_ksr is not None else sm_entry.ksr_index
         # Release the SM: clears SMST/KSRT assignment and SM registers.
         previous = framework.mark_sm_idle(sm_id)
-        if sm.state is not SMState.IDLE:
-            sm.release()
+        self._engine.sm(sm_id).release()
 
         if framework.ksr_valid(next_ksr) and framework.kernel_has_issuable_work(next_ksr):
             self.setup_sm(sm_id, next_ksr)
@@ -330,9 +283,6 @@ class SMDriver:
     # ------------------------------------------------------------------
     def _release_sm(self, sm_id: int, *, owner_ksr: Optional[int]) -> None:
         """Return an SM to the idle pool and notify the policy."""
-        framework = self._framework
-        sm = self._engine.sm(sm_id)
-        previous = framework.mark_sm_idle(sm_id)
-        if sm.state is not SMState.IDLE:
-            sm.release()
+        previous = self._framework.mark_sm_idle(sm_id)
+        self._engine.sm(sm_id).release()
         self._engine.notify_sm_idle(sm_id, owner_ksr if owner_ksr is not None else previous)

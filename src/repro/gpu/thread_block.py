@@ -64,6 +64,10 @@ class ThreadBlock:
         "key",
     )
 
+    #: Blocks this unit stands for: the SM retires a block as a span of one
+    #: (see :class:`~repro.gpu.blockrun.BlockRun`).
+    count = 1
+
     def __init__(
         self,
         kernel_launch_id: int,

@@ -37,11 +37,6 @@ class HostCPU:
         return self._config.hardware_threads
 
     @property
-    def busy_threads(self) -> int:
-        """Hardware threads currently running a CPU phase."""
-        return self._busy_threads
-
-    @property
     def queued_phases(self) -> int:
         """CPU phases waiting for a free hardware thread."""
         return len(self._waiting)

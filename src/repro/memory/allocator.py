@@ -86,8 +86,3 @@ class GPUMemoryAllocator:
         """Whether ``context_id`` has a live allocation covering the address."""
         space = self._spaces.get(context_id)
         return space is not None and space.allocation_containing(virtual_address) is not None
-
-    @property
-    def total_allocated_bytes(self) -> int:
-        """Bytes reserved in DRAM across all contexts (page granular)."""
-        return self._dram.allocated_bytes

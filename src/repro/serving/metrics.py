@@ -53,6 +53,15 @@ def restored_count(state: Mapping[str, Any], key: str) -> int:
     return value
 
 
+def _restored_floats(values: Any, name: str, size: int) -> List[float]:
+    """``values`` as a list of exactly ``size`` floats; any other length
+    raises a :class:`ValueError` naming ``name``."""
+    floats = [float(v) for v in values]
+    if len(floats) != size:
+        raise ValueError(f"{name} must hold {size} numbers, not {len(floats)}")
+    return floats
+
+
 # ----------------------------------------------------------------------
 # P² streaming quantile estimator
 # ----------------------------------------------------------------------
@@ -156,12 +165,17 @@ class P2Quantile:
 
     @classmethod
     def restore(cls, state: Mapping[str, Any]) -> "P2Quantile":
-        """Rebuild an estimator from :meth:`state` output."""
+        """Rebuild an estimator from :meth:`state` output.
+
+        The first five observations are kept as heights; the markers'
+        positions exist from the fifth on.
+        """
         est = cls(state["q"])
-        est._count = restored_count(state, "count")
-        est._heights = [float(v) for v in state["heights"]]
-        est._positions = [float(v) for v in state["positions"]]
-        est._desired = [float(v) for v in state["desired"]]
+        est._count = count = restored_count(state, "count")
+        markers = 5 if count >= 5 else 0
+        est._heights = _restored_floats(state["heights"], "heights", min(count, 5))
+        est._positions = _restored_floats(state["positions"], "positions", markers)
+        est._desired = _restored_floats(state["desired"], "desired", markers)
         return est
 
 
@@ -213,7 +227,9 @@ class ReservoirSampler:
         """Rebuild a reservoir from :meth:`state` output."""
         sampler = cls(int(state["capacity"]), seed=int(state["seed"]))
         sampler._count = restored_count(state, "count")
-        sampler._samples = [float(v) for v in state["samples"]]
+        sampler._samples = _restored_floats(
+            state["samples"], "samples", min(sampler._count, sampler.capacity)
+        )
         return sampler
 
 
@@ -280,9 +296,10 @@ class SlidingWindow:
     def restore(cls, state: Mapping[str, Any]) -> "SlidingWindow":
         """Rebuild a window from :meth:`state` output."""
         window = cls(float(state["window_us"]))
-        window._buckets = [
-            [float(v) for v in bucket] for bucket in state["buckets"]
-        ]
+        buckets = state["buckets"]
+        if len(buckets) != cls.NUM_BUCKETS:
+            raise ValueError(f"buckets must hold {cls.NUM_BUCKETS} buckets, not {len(buckets)}")
+        window._buckets = [_restored_floats(bucket, "buckets", 4) for bucket in buckets]
         return window
 
 
@@ -331,9 +348,10 @@ class _LatencyStream:
         stream.count = restored_count(state, "count")
         stream.sum = float(state["sum"])
         stream.max = float(state["max"])
-        stream.quantiles = {
-            float(q): P2Quantile.restore(sub) for q, sub in state["quantiles"].items()
-        }
+        quantiles = {float(q): sub for q, sub in state["quantiles"].items()}
+        if sorted(quantiles) != sorted(QUANTILES):
+            raise ValueError(f"quantiles must be {list(QUANTILES)}, not {sorted(quantiles)}")
+        stream.quantiles = {q: P2Quantile.restore(sub) for q, sub in quantiles.items()}
         return stream
 
 
@@ -478,8 +496,12 @@ class ServingMetrics:
             name: restored_count(violations, name) for name in metrics.slo_violations
         }
         metrics.global_stream = _LatencyStream.restore(state["global"])
+        tenants = state["tenants"]
+        expected = sorted(metrics.slo_budgets_us)
+        if sorted(tenants) != expected:
+            raise ValueError(f"tenants {sorted(tenants)} must be the SLO tenants {expected}")
         metrics.tenant_streams = {
-            name: _LatencyStream.restore(sub) for name, sub in state["tenants"].items()
+            name: _LatencyStream.restore(sub) for name, sub in tenants.items()
         }
         metrics.reservoir = ReservoirSampler.restore(state["reservoir"])
         metrics.window = SlidingWindow.restore(state["window"])

@@ -221,6 +221,8 @@ class GPUSystem:
         self.execution_engine.observer = target
         for sm in self.execution_engine.sms():
             sm.observer = target
+            if target is not None:
+                sm.resident()  # observers see blocks: rebuild resident spans
         self.dispatcher.observer = target
         self.cpu.observer = target
         if self.serving is not None:

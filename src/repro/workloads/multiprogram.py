@@ -496,19 +496,3 @@ class WorkloadRunner:
             trace_summary=trace_summary,
             serving_summary=outcome.summary,
         )
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def run_many(
-        self,
-        specs: Sequence[WorkloadSpec],
-        *,
-        policy: str,
-        mechanism: str = "context_switch",
-        **kwargs,
-    ) -> List[WorkloadResult]:
-        """Run a list of workloads under the same policy and mechanism."""
-        return [
-            self.run(spec, policy=policy, mechanism=mechanism, **kwargs) for spec in specs
-        ]

@@ -235,10 +235,6 @@ class ParboilApplication:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    def total_kernel_launches(self, launch_scale: float = 1.0) -> int:
-        """Total kernel launches in one run at the given launch scale."""
-        return sum(max(1, round(r.launches * launch_scale)) for r in self.records)
-
     def kernel_specs(self, *, tb_scale: float = 1.0) -> Dict[str, KernelSpec]:
         """Kernel specs keyed by kernel name."""
         return {r.kernel: r.to_kernel_spec(tb_scale=tb_scale) for r in self.records}

@@ -82,7 +82,7 @@ class TestActivation:
         (block,) = command.launch.take_fresh_blocks(1)
         block.start(0, 0.0)
         block.complete(1.0)
-        command.launch.notify_block_completed(block, 1.0)
+        command.launch.note_completed(block.count, 1.0)
         finished = framework.finish_kernel(entry.index)
         assert finished is command
         assert not framework.ksr_valid(entry.index)

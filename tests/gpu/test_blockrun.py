@@ -14,7 +14,9 @@ import pytest
 
 from repro.gpu.blockrun import BlockRun
 from repro.gpu.sm import StreamingMultiprocessor
-from repro.gpu.thread_block import ThreadBlockState
+from repro.gpu.thread_block import ThreadBlock, ThreadBlockState
+from repro.scenario import ScenarioSpec
+from repro.sim.observers import BaseObserver
 from repro.system import GPUSystem
 from repro.workloads.large_gpu import generate_large_gpu_scenario
 
@@ -56,6 +58,54 @@ def test_observers_force_the_exact_per_block_path(monkeypatch):
     assert not system.violations()
 
 
+class _CompletionRecorder(BaseObserver):
+    def __init__(self):
+        self.completed = []
+
+    def on_block_completed(self, sm, block):
+        self.completed.append(block)
+
+
+def _run_observed_from(install_at_us, *, wave_batching):
+    scenario = generate_large_gpu_scenario(8)
+    if not wave_batching:
+        payload = scenario.to_dict()
+        overrides = payload["config_overrides"]
+        overrides["gpu"] = {**overrides["gpu"], "wave_batching": False}
+        scenario = ScenarioSpec.from_dict(payload)
+    system = GPUSystem.from_scenario(scenario)
+    limits = dict(
+        stop_after_min_iterations=scenario.resolved_min_iterations(),
+        max_events=scenario.resolved_max_events(),
+    )
+    sms = system.execution_engine.sms()
+    system.run(until_us=install_at_us, **limits)
+    spans_before = sum(len(sm._runs) for sm in sms)
+    executed_before = sum(sm.blocks_executed for sm in sms)
+    recorder = _CompletionRecorder()
+    system.install_observer(recorder)
+    assert all(not sm._runs for sm in sms)
+    system.run(**limits)
+    report = system.execution_engine.utilization_snapshot()
+    report.pop("block_completion_events")
+    results = (report, system.iteration_times_us(), system.simulator.now)
+    executed_after = sum(sm.blocks_executed for sm in sms) - executed_before
+    return results, recorder, spans_before, executed_after
+
+
+def test_installing_an_observer_rebuilds_resident_spans_as_blocks():
+    results, recorder, spans_before, executed_after = _run_observed_from(
+        500.0, wave_batching=True
+    )
+    assert spans_before > 0
+    # One notification per block completed after the install, each a block.
+    assert len(recorder.completed) == executed_after > 0
+    assert all(type(block) is ThreadBlock for block in recorder.completed)
+    exact, exact_recorder, _, _ = _run_observed_from(500.0, wave_batching=False)
+    assert results == exact
+    assert [b.key for b in recorder.completed] == [b.key for b in exact_recorder.completed]
+
+
 def test_materialised_span_matches_the_per_block_issue(synthetic_launch=None):
     from repro.gpu.kernel import KernelLaunch, KernelSpec
     from repro.gpu.resources import ResourceUsage
@@ -89,7 +139,7 @@ def test_materialised_span_matches_the_per_block_issue(synthetic_launch=None):
     assert vectorised.unissued_blocks == reference.unissued_blocks
 
 
-def test_note_span_completed_finishes_the_launch_exactly_once():
+def test_note_completed_finishes_the_launch_exactly_once():
     from repro.gpu.kernel import KernelLaunch, KernelSpec, KernelState
     from repro.gpu.resources import ResourceUsage
 
@@ -103,14 +153,14 @@ def test_note_span_completed_finishes_the_launch_exactly_once():
         on_complete=lambda kernel, now: finished.append(now),
     )
     launch.take_fresh_span(6)
-    launch.note_span_completed(4, 5.0)
+    launch.note_completed(4, 5.0)
     assert launch.state is not KernelState.FINISHED
-    launch.note_span_completed(2, 9.0)
+    launch.note_completed(2, 9.0)
     assert launch.state is KernelState.FINISHED
     assert launch.completion_time_us == 9.0
     assert finished == [9.0]
     with pytest.raises(RuntimeError):
-        launch.note_span_completed(1, 10.0)
+        launch.note_completed(1, 10.0)
 
 
 def test_single_block_run_label_matches_the_per_block_label(simulator, gpu_config):
@@ -138,7 +188,6 @@ def test_resident_run_blocks_release_and_configure(simulator, gpu_config):
     """A resident span holds the SM like resident blocks do."""
     from repro.gpu.kernel import KernelLaunch, KernelSpec
     from repro.gpu.resources import ResourceUsage
-    from repro.gpu.sm import SMState
 
     spec = KernelSpec(
         name="k", benchmark="b", num_thread_blocks=4, avg_tb_time_us=2.0,
@@ -158,4 +207,4 @@ def test_resident_run_blocks_release_and_configure(simulator, gpu_config):
         sm.release()
     with pytest.raises(RuntimeError, match="configure"):
         sm.configure(**setup)
-    assert sm.state is SMState.RUNNING and sm.resident_blocks == 4
+    assert sm.resident_blocks == 4

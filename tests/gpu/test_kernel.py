@@ -82,16 +82,10 @@ class TestKernelLaunch:
         for block in launch.take_fresh_blocks(2):
             block.start(0, 0.0)
             block.complete(5.0)
-            launch.notify_block_completed(block, 5.0)
+            launch.note_completed(block.count, 5.0)
         assert launch.is_finished
         assert launch.completion_time_us == 5.0
         assert completions == [(1, 5.0)]
-
-    def test_notify_requires_completed_block(self):
-        launch = make_launch(blocks=1)
-        (block,) = launch.take_fresh_blocks(1)
-        with pytest.raises(ValueError):
-            launch.notify_block_completed(block, 1.0)
 
     def test_without_jitter_blocks_take_average_time(self):
         launch = make_launch(blocks=4, jitter=None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.sm import SMState, StreamingMultiprocessor, UtilizationTracker
+from repro.gpu.sm import StreamingMultiprocessor, UtilizationTracker
 from repro.gpu.thread_block import ThreadBlock, ThreadBlockState
 
 
@@ -30,34 +30,31 @@ def make_block(index: int, time_us: float = 10.0) -> ThreadBlock:
 
 class TestConfiguration:
     def test_initial_state_is_idle(self, sm):
-        assert sm.state is SMState.IDLE
         assert sm.is_empty
         assert sm.ksr_index is None
 
     def test_configure_loads_context_registers(self, sm):
         configure(sm)
-        assert sm.state is SMState.RUNNING
+        assert sm.ksr_index == 0
         assert sm.context_id_register == 1
         assert sm.page_table_register == 0x1000
         assert sm.max_resident_blocks == 4
-        assert sm.setups == 1
 
     def test_release_clears_registers(self, sm):
         configure(sm)
         sm.release()
-        assert sm.state is SMState.IDLE
         assert sm.context_id_register is None
         assert sm.ksr_index is None
 
     def test_configure_with_resident_blocks_rejected(self, sm, simulator):
         configure(sm)
-        sm.start_block(make_block(0), extra_latency_us=0.0, on_complete=lambda b: None)
+        sm.start_blocks([(make_block(0), 0.0)], on_complete=lambda b: None)
         with pytest.raises(RuntimeError):
             configure(sm)
 
     def test_release_with_resident_blocks_rejected(self, sm):
         configure(sm)
-        sm.start_block(make_block(0), extra_latency_us=0.0, on_complete=lambda b: None)
+        sm.start_blocks([(make_block(0), 0.0)], on_complete=lambda b: None)
         with pytest.raises(RuntimeError):
             sm.release()
 
@@ -66,7 +63,7 @@ class TestExecution:
     def test_block_completes_after_its_execution_time(self, sm, simulator):
         configure(sm)
         done = []
-        sm.start_block(make_block(0, 10.0), extra_latency_us=1.0, on_complete=done.append)
+        sm.start_blocks([(make_block(0, 10.0), 1.0)], on_complete=done.append)
         simulator.run()
         assert len(done) == 1
         assert done[0].state is ThreadBlockState.COMPLETED
@@ -76,25 +73,25 @@ class TestExecution:
 
     def test_capacity_enforced(self, sm):
         configure(sm, max_blocks=2)
-        sm.start_block(make_block(0), extra_latency_us=0.0, on_complete=lambda b: None)
-        sm.start_block(make_block(1), extra_latency_us=0.0, on_complete=lambda b: None)
-        assert not sm.has_free_slots
+        sm.start_blocks([(make_block(0), 0.0)], on_complete=lambda b: None)
+        sm.start_blocks([(make_block(1), 0.0)], on_complete=lambda b: None)
+        assert sm.resident_blocks == sm.max_resident_blocks
         with pytest.raises(RuntimeError):
-            sm.start_block(make_block(2), extra_latency_us=0.0, on_complete=lambda b: None)
+            sm.start_blocks([(make_block(2), 0.0)], on_complete=lambda b: None)
 
     def test_duplicate_block_rejected(self, sm):
         configure(sm)
         block = make_block(0)
-        sm.start_block(block, extra_latency_us=0.0, on_complete=lambda b: None)
+        sm.start_blocks([(block, 0.0)], on_complete=lambda b: None)
         duplicate = make_block(0)
         with pytest.raises(RuntimeError):
-            sm.start_block(duplicate, extra_latency_us=0.0, on_complete=lambda b: None)
+            sm.start_blocks([(duplicate, 0.0)], on_complete=lambda b: None)
 
     def test_concurrent_blocks_finish_independently(self, sm, simulator):
         configure(sm)
         done = []
-        sm.start_block(make_block(0, 5.0), extra_latency_us=0.0, on_complete=done.append)
-        sm.start_block(make_block(1, 10.0), extra_latency_us=0.0, on_complete=done.append)
+        sm.start_blocks([(make_block(0, 5.0), 0.0)], on_complete=done.append)
+        sm.start_blocks([(make_block(1, 10.0), 0.0)], on_complete=done.append)
         simulator.run(until=6.0)
         assert len(done) == 1
         assert sm.resident_blocks == 1
@@ -106,8 +103,8 @@ class TestEviction:
     def test_evict_all_cancels_completions_and_preempts(self, sm, simulator):
         configure(sm)
         done = []
-        sm.start_block(make_block(0, 10.0), extra_latency_us=0.0, on_complete=done.append)
-        sm.start_block(make_block(1, 20.0), extra_latency_us=0.0, on_complete=done.append)
+        sm.start_blocks([(make_block(0, 10.0), 0.0)], on_complete=done.append)
+        sm.start_blocks([(make_block(1, 20.0), 0.0)], on_complete=done.append)
         simulator.run(until=4.0)
         evicted = sm.evict_all()
         simulator.run()
@@ -117,18 +114,17 @@ class TestEviction:
         assert {round(b.remaining_time_us) for b in evicted} == {6, 16}
         assert sm.is_empty
         assert sm.blocks_preempted == 2
-        assert sm.preemptions == 1
 
     def test_evict_empty_sm_returns_nothing(self, sm):
         configure(sm)
         assert sm.evict_all() == []
-        assert sm.preemptions == 0
+        assert sm.blocks_preempted == 0
 
 
 class TestUtilization:
     def test_busy_fraction_reflects_resident_time(self, sm, simulator):
         configure(sm)
-        sm.start_block(make_block(0, 10.0), extra_latency_us=0.0, on_complete=lambda b: None)
+        sm.start_blocks([(make_block(0, 10.0), 0.0)], on_complete=lambda b: None)
         simulator.run()
         simulator.schedule(10.0, lambda: None)
         simulator.run()
@@ -161,6 +157,15 @@ class TestUtilizationTracker:
         tracker = UtilizationTracker(5.0)
         assert tracker.utilization(5.0) == 0.0
 
+    def test_zero_length_idle_gap_does_not_split_the_interval(self):
+        tracker = UtilizationTracker(0.0)
+        tracker.set_busy(0.1)
+        tracker.set_idle(0.11)
+        tracker.set_busy(0.11)
+        tracker.set_idle(0.25)
+        # Split in two, the sum would read 0.15000000000000002.
+        assert tracker.busy_time(1.0) == 0.25 - 0.1
+
     def test_utilization_capped_at_one(self):
         tracker = UtilizationTracker(1.0)
         tracker.set_busy(0.0)
@@ -191,7 +196,7 @@ class TestWaveBatching:
         # obs normalize_label kinds and the metrics goldens read this text.
         configure(sm)
         block = ThreadBlock(kernel_launch_id=17, block_index=3, execution_time_us=10.0)
-        sm.start_block(block, extra_latency_us=0.5, on_complete=lambda b: None)
+        sm.start_blocks([(block, 0.5)], on_complete=lambda b: None)
         assert simulator.pending_labels() == ["sm0.block(17, 3).complete"]
 
     def test_heterogeneous_remainders_fall_back_to_per_block_events(self, sm, simulator):
@@ -217,15 +222,15 @@ class TestWaveBatching:
     def test_refills_join_the_pending_wave_across_calls(self, sm, simulator):
         configure(sm)
         done = []
-        sm.start_block(make_block(0, 10.0), extra_latency_us=0.0, on_complete=done.append)
+        sm.start_blocks([(make_block(0, 10.0), 0.0)], on_complete=done.append)
         assert simulator.pending_events == 1
         # Scheduled immediately after with the same completion instant and no
         # intervening event: joins instead of creating a second heap event.
-        sm.start_block(make_block(1, 10.0), extra_latency_us=0.0, on_complete=done.append)
+        sm.start_blocks([(make_block(1, 10.0), 0.0)], on_complete=done.append)
         assert simulator.pending_events == 1
         # An intervening foreign event breaks sequence contiguity: no join.
         simulator.schedule(999.0, lambda: None)
-        sm.start_block(make_block(2, 10.0), extra_latency_us=0.0, on_complete=done.append)
+        sm.start_blocks([(make_block(2, 10.0), 0.0)], on_complete=done.append)
         assert simulator.pending_events == 3
         simulator.run(until=20.0)
         assert [b.block_index for b in done] == [0, 1, 2]
@@ -247,12 +252,12 @@ class TestWaveBatching:
         configure(sm)
         done = []
         block = make_block(0, 10.0)
-        sm.start_block(block, extra_latency_us=0.0, on_complete=done.append)
+        sm.start_blocks([(block, 0.0)], on_complete=done.append)
         # Break joining so the re-issue gets its own (later) event.
         simulator.schedule(999.0, lambda: None)
         sm.evict_all()
         block.remaining_time_us = 10.0
-        sm.start_block(block, extra_latency_us=5.0, on_complete=done.append)
+        sm.start_blocks([(block, 5.0)], on_complete=done.append)
         simulator.run(until=12.0)
         # The original instant passed without completing the block.
         assert done == []
@@ -272,8 +277,8 @@ class TestWaveBatching:
         for sm in sms:
             configure(sm)
         done = []
-        sms[0].start_block(make_block(0, 10.0), extra_latency_us=0.0, on_complete=done.append)
-        sms[1].start_block(make_block(1, 10.0), extra_latency_us=0.0, on_complete=done.append)
+        sms[0].start_blocks([(make_block(0, 10.0), 0.0)], on_complete=done.append)
+        sms[1].start_blocks([(make_block(1, 10.0), 0.0)], on_complete=done.append)
         # Same instant, contiguous sequence numbers: one shared event.
         assert simulator.pending_events == 1
         # Evicting one SM must not cancel the other SM's completion.
@@ -296,16 +301,50 @@ class TestWaveBatching:
             configure(sm)
         done = []
         victim = make_block(0, 10.0)
-        sms[0].start_block(victim, extra_latency_us=0.0, on_complete=done.append)
-        sms[1].start_block(make_block(1, 10.0), extra_latency_us=0.0, on_complete=done.append)
+        sms[0].start_blocks([(victim, 0.0)], on_complete=done.append)
+        sms[1].start_blocks([(make_block(1, 10.0), 0.0)], on_complete=done.append)
         assert simulator.pending_events == 1  # shared wave
         sms[0].evict_all()  # wave stays live through SM1's block
         simulator.schedule(999.0, lambda: None)  # break joining
         victim.remaining_time_us = 10.0
-        sms[0].start_block(victim, extra_latency_us=5.0, on_complete=done.append)
+        sms[0].start_blocks([(victim, 5.0)], on_complete=done.append)
         simulator.run(until=12.0)
         # At t=10 the stale wave completed only SM1's block.
         assert [b.block_index for b in done] == [1]
         assert victim.state is ThreadBlockState.RUNNING
         simulator.run(until=20.0)
         assert [b.block_index for b in done] == [1, 0]
+
+    def test_span_rebuilt_while_its_wave_fires_still_retires(self, simulator, gpu_config):
+        """A retire that calls ``resident()`` on another SM rebuilds that SM's
+        span of the same wave as blocks; the firing loop reaches every one."""
+        from repro.gpu.blockrun import BlockRun
+        from repro.gpu.kernel import KernelLaunch, KernelSpec
+        from repro.gpu.resources import ResourceUsage
+        from repro.gpu.sm import WaveAnchor
+
+        anchor = WaveAnchor()
+        sms = [
+            StreamingMultiprocessor(i, gpu_config, simulator, wave_anchor=anchor)
+            for i in range(2)
+        ]
+        for sm in sms:
+            configure(sm)
+        spec = KernelSpec(
+            name="k", benchmark="b", num_thread_blocks=3, avg_tb_time_us=10.0,
+            usage=ResourceUsage(registers_per_block=1, shared_memory_per_block=0),
+        )
+        launch = KernelLaunch(spec=spec, launch_id=2, context_id=1)
+        done = []
+        sms[0].start_blocks(
+            [(make_block(0, 10.0), 0.0)], on_complete=lambda block: sms[1].resident()
+        )
+        first, taken = launch.take_fresh_span(3)
+        sms[1].start_run(
+            BlockRun(launch, first, taken, 10.0), extra_latency_us=0.0, on_complete=done.append
+        )
+        assert simulator.pending_events == 1  # one wave for both SMs
+        simulator.run()
+        assert [block.block_index for block in done] == [0, 1, 2]
+        assert all(block.state is ThreadBlockState.COMPLETED for block in done)
+        assert sms[1].is_empty

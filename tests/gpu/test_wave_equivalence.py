@@ -2,17 +2,18 @@
 
 The SM may aggregate same-instant thread-block completions into shared
 "wave" heap events (``GPUConfig.wave_batching``, on by default) and, with no
-observer attached, issue and retire jitter-free refills as one ``BlockRun``
-through the driver's ``batch_complete_run`` handler.  Per-block entries have
-no batched handler: they always retire one by one.  Both are pure
-simulation optimisations: this fuzz runs 50 seed-derived scenarios — spread
-across every scheduling policy × preemption mechanism × preemption
-controller combination, with jitter disabled so waves actually form — once
-wave-batched and once with the exact per-block path forced, and asserts
-byte-identical run artifacts: per-process timings, multiprogram metrics,
-engine statistics, invariant-validation verdicts and exported Chrome
-traces.  Open-loop serving runs, multi-GPU fleet runs and
-serving checkpoints are compared the same way on a few fuzz seeds.
+observer attached, issue jitter-free refills as one ``BlockRun`` span, which
+retires whole on the same path as a single block (a block is a span of
+one).  Both are pure simulation optimisations: this fuzz runs 50
+seed-derived scenarios — spread across every scheduling policy × preemption
+mechanism × preemption controller combination, with jitter disabled so
+waves actually form — once wave-batched and once with the exact per-block
+path forced, and asserts byte-identical run artifacts: per-process timings,
+multiprogram metrics, engine statistics, invariant-validation verdicts and
+exported Chrome traces.  Open-loop serving runs, multi-GPU fleet runs and
+serving checkpoints are compared the same way on a few fuzz seeds, and a
+preemption grid compares runs in which spans retire on reserved SMs and at
+kernel tails.
 """
 
 from __future__ import annotations
@@ -21,8 +22,13 @@ import json
 
 import pytest
 
+from repro.gpu.blockrun import BlockRun
+from repro.gpu.config import GPUConfig, SystemConfig
+from repro.gpu.sm import SMState, StreamingMultiprocessor
 from repro.runner import execute_scenario
 from repro.scenario import ScenarioSpec, SchemeSpec
+from repro.system import GPUSystem
+from repro.trace.generator import TraceGenerator
 from repro.workloads.synthetic import (
     SCHEME_CONTROLLERS,
     SCHEME_MECHANISMS,
@@ -226,3 +232,70 @@ def test_wave_batching_preserves_serving_checkpoints():
     assert json.dumps(waved_checkpoint, sort_keys=True) == json.dumps(
         exact_checkpoint, sort_keys=True
     )
+
+
+#: Runs whose preemptions land on spans: on 4 SMs, a 12,000-block
+#: low-priority grid runs as jitter-free spans, and a 16-block high-priority
+#: kernel arriving at each offset makes PPQ reserve SMs while spans are
+#: resident, so spans retire on reserved SMs and at both kernels' tails.
+PREEMPTION_GRID = [
+    (mechanism, controller, start_us)
+    for mechanism in ("draining", "context_switch")
+    for controller in (None, "hybrid", "adaptive")
+    for start_us in (3000.0, 3333.3, 4100.0, 4444.4)
+]
+
+
+def _preempted_system(mechanism, controller, start_us, *, wave_batching):
+    config = SystemConfig(gpu=GPUConfig(num_sms=4, wave_batching=wave_batching), tb_time_cv=0.0)
+    system = GPUSystem(config, policy="ppq", mechanism=mechanism, controller=controller)
+    generator = TraceGenerator()
+    low = generator.uniform_kernel("l", num_blocks=12000, tb_time_us=10.0, blocks_per_sm=4)
+    high = generator.uniform_kernel("h", num_blocks=16, tb_time_us=10.0, blocks_per_sm=4)
+    system.add_process("L", low, max_iterations=1)
+    system.add_process("H", high, priority=1, start_delay_us=start_us, max_iterations=1)
+    return system
+
+
+def _preempted_run(mechanism, controller, start_us, *, wave_batching):
+    system = _preempted_system(mechanism, controller, start_us, wave_batching=wave_batching)
+    system.run()
+    report = system.execution_engine.utilization_snapshot()
+    report.pop("block_completion_events")
+    return {
+        "report": report,
+        "iteration_times_us": system.iteration_times_us(),
+        "now": system.simulator.now,
+    }
+
+
+@pytest.mark.parametrize("mechanism, controller, start_us", PREEMPTION_GRID)
+def test_preempted_spans_match_the_per_block_run(mechanism, controller, start_us):
+    waved = _preempted_run(mechanism, controller, start_us, wave_batching=True)
+    exact = _preempted_run(mechanism, controller, start_us, wave_batching=False)
+    assert waved["report"]["preemptions_completed"] >= 1
+    assert json.dumps(waved, sort_keys=True) == json.dumps(exact, sort_keys=True)
+
+
+def test_preemption_grid_retires_spans_on_reserved_sms_and_kernel_tails(monkeypatch):
+    """The grid above reaches the span retires it exists for."""
+    retired = {"reserved": 0, "tail": 0}
+    systems = []
+    real_retire = StreamingMultiprocessor._retire
+
+    def counting(sm, unit, on_complete):
+        if unit.__class__ is BlockRun:
+            framework = systems[-1].execution_engine.framework
+            if framework.sm_entry(sm.sm_id).state is SMState.RESERVED:
+                retired["reserved"] += 1
+            launch = unit.launch
+            if launch.completed_blocks + unit.count == launch.spec.num_thread_blocks:
+                retired["tail"] += 1
+        real_retire(sm, unit, on_complete)
+
+    monkeypatch.setattr(StreamingMultiprocessor, "_retire", counting)
+    for config in PREEMPTION_GRID:
+        systems.append(_preempted_system(*config, wave_batching=True))
+        systems[-1].run()
+    assert retired["reserved"] > 0
+    assert retired["tail"] > 0

@@ -104,6 +104,11 @@ def test_final_checkpoint_resumes_as_a_no_op_segment():
 
 _HP = "syn-11-0#0"
 
+
+def _cut_first_window_bucket(state):
+    del state["metrics"]["window"]["buckets"][0][2:]
+
+
 #: One-field edits of the 8 ms checkpoint, each with the word its error names.
 MALFORMED = {
     "negative admitted": (lambda s: s["queue_counters"].update(admitted=-3), "admitted"),
@@ -137,6 +142,27 @@ MALFORMED = {
     "negative slo violations": (
         lambda s: s["metrics"]["slo_violations"].update({_HP: -4}), _HP
     ),
+    # Metric list states: each once restored, then over-reported the
+    # reservoir or died mid-run with a bare IndexError or KeyError.
+    "repeated reservoir samples": (
+        lambda s: s["metrics"]["reservoir"].update(
+            samples=s["metrics"]["reservoir"]["samples"] * 5
+        ),
+        "samples",
+    ),
+    "cut window buckets": (
+        lambda s: s["metrics"]["window"].update(buckets=s["metrics"]["window"]["buckets"][:2]),
+        "buckets",
+    ),
+    "short window bucket": (_cut_first_window_bucket, "buckets"),
+    "short p2 heights": (
+        lambda s: s["metrics"]["global"]["quantiles"]["0.5"].update(heights=[1.0]), "heights"
+    ),
+    "short p2 positions": (
+        lambda s: s["metrics"]["global"]["quantiles"]["0.5"].update(positions=[1.0]), "positions"
+    ),
+    "missing quantile": (lambda s: s["metrics"]["global"]["quantiles"].pop("0.95"), "quantiles"),
+    "missing tenant stream": (lambda s: s["metrics"]["tenants"].pop(_HP), "tenants"),
 }
 
 
