@@ -1,8 +1,10 @@
-"""Legacy setup shim.
+"""Setup script.
 
-The project is configured through ``pyproject.toml``; this file exists so
-that editable installs work on environments whose ``pip``/``setuptools`` lack
-PEP 660 support (e.g. offline machines without the ``wheel`` package):
+The project has no ``pyproject.toml`` or ``setup.cfg``: the bare ``setup()``
+call lets setuptools auto-discover the package under ``src/``, so it builds
+as ``repro``, version 0.0.0 (see ``python3 setup.py egg_info``).  Editable
+installs also work on environments whose ``pip``/``setuptools`` lack PEP 660
+support (e.g. offline machines without the ``wheel`` package):
 
     pip install -e . --no-use-pep517 --no-build-isolation
 """

@@ -24,6 +24,8 @@ class CommandBufferSet:
             raise ValueError("max_contexts must be at least 1")
         self._max_contexts = max_contexts
         self._buffers: Dict[int, Optional[KernelCommand]] = {}
+        #: Buffers holding a command, kept by :meth:`offer` and :meth:`take`.
+        self._pending = 0
         self.total_buffered = 0
         self.rejected = 0
 
@@ -46,6 +48,7 @@ class CommandBufferSet:
             self.rejected += 1
             return False
         self._buffers[context_id] = command
+        self._pending += 1
         self.total_buffered += 1
         return True
 
@@ -62,22 +65,25 @@ class CommandBufferSet:
         if command is None:
             raise KeyError(f"no command buffered for context {context_id}")
         self._buffers[context_id] = None
+        self._pending -= 1
         return command
 
     def pending(self) -> List[KernelCommand]:
         """All buffered commands, oldest first (by enqueue time, then id)."""
+        if not self._pending:
+            return []
         commands = [cmd for cmd in self._buffers.values() if cmd is not None]
         commands.sort(key=lambda c: (c.enqueue_time_us if c.enqueue_time_us is not None else 0.0, c.command_id))
         return commands
 
     @property
     def has_pending(self) -> bool:
-        """Whether any context has a buffered command."""
-        return any(cmd is not None for cmd in self._buffers.values())
+        """Whether any context has a buffered command (O(1))."""
+        return self._pending > 0
 
     def occupancy(self) -> int:
-        """Number of buffers currently holding a command."""
-        return sum(1 for cmd in self._buffers.values() if cmd is not None)
+        """Number of buffers currently holding a command (O(1))."""
+        return self._pending
 
     def contexts(self) -> List[int]:
         """All context ids that ever buffered a command."""

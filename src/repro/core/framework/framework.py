@@ -12,8 +12,9 @@ paper separates mechanism from policy.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.framework.command_buffer import CommandBufferSet
 from repro.core.framework.tables import (
@@ -29,6 +30,13 @@ from repro.gpu.config import SystemConfig
 from repro.gpu.kernel import KernelState
 from repro.gpu.sm import SMState
 from repro.gpu.thread_block import ThreadBlock
+
+
+def policy_key(entry: KernelStatusEntry) -> Tuple[int, float, int]:
+    """Policy order of active kernels: descending priority, then activation
+    time, then KSR index (unique among active kernels, so the order is total).
+    """
+    return (-entry.priority, entry.activation_time_us, entry.index)
 
 
 class SchedulingFramework:
@@ -50,6 +58,8 @@ class SchedulingFramework:
         #: Commands of active kernels, keyed by launch id, so the engine can
         #: notify command completion when the kernel finishes.
         self._commands_by_launch: Dict[int, KernelCommand] = {}
+        #: Active KSR entries sorted by :func:`policy_key` (see policy_order).
+        self._policy_order: Tuple[KernelStatusEntry, ...] = ()
         #: Table event counts, reported by :meth:`snapshot`.
         self.stats: Counter = Counter()
 
@@ -67,12 +77,17 @@ class SchedulingFramework:
         """Buffered commands not yet admitted, oldest first."""
         return self.command_buffers.pending()
 
+    @property
+    def has_pending_commands(self) -> bool:
+        """Whether any command waits in a command buffer (O(1))."""
+        return self.command_buffers.has_pending
+
     # ------------------------------------------------------------------
     # Activation / completion
     # ------------------------------------------------------------------
     @property
     def has_active_capacity(self) -> bool:
-        """Whether another kernel may be admitted to the active queue."""
+        """Whether another kernel may be admitted to the active queue (O(1))."""
         return self.active_queue.has_space and self.ksrt.has_free_entry
 
     def activate_command(
@@ -101,6 +116,9 @@ class SchedulingFramework:
         entry.blocks_per_sm = blocks_per_sm
         entry.shared_memory_config = shared_memory_config
         self.active_queue.push(entry.index)
+        order = self._policy_order
+        position = bisect_left(order, policy_key(entry), key=policy_key)
+        self._policy_order = order[:position] + (entry,) + order[position:]
         self._ptbqs[entry.index].clear()
         self._commands_by_launch[launch.launch_id] = command
         launch.state = KernelState.ACTIVE
@@ -122,6 +140,9 @@ class SchedulingFramework:
         if not self._ptbqs[ksr_index].empty:  # pragma: no cover - defensive
             raise RuntimeError("finished kernel still has preempted thread blocks")
         self.active_queue.remove(ksr_index)
+        order = self._policy_order
+        position = bisect_left(order, policy_key(entry), key=policy_key)
+        self._policy_order = order[:position] + order[position + 1 :]
         self.ksrt.free(ksr_index)
         command = self._commands_by_launch.pop(entry.launch.launch_id)
         self.stats["kernels_finished"] += 1
@@ -141,6 +162,17 @@ class SchedulingFramework:
     def active_entries(self) -> List[KernelStatusEntry]:
         """Valid KSR entries in activation (active-queue) order."""
         return [self.ksrt.get(index) for index in self.active_queue]
+
+    @property
+    def policy_order(self) -> Tuple[KernelStatusEntry, ...]:
+        """Valid KSR entries in policy order (see :func:`policy_key`).
+
+        Kept on activation and finish rather than sorted per query.  The
+        tuple is replaced on each change, so iterating a returned value
+        stays safe while a nested scheduling tick activates or finishes
+        kernels.
+        """
+        return self._policy_order
 
     def ksr_index_for_launch(self, launch_id: int) -> Optional[int]:
         """KSR index currently tracking the given kernel launch."""
@@ -196,10 +228,12 @@ class SchedulingFramework:
         entry = self.smst.entry(sm_id)
         if not entry.is_idle:
             raise RuntimeError(f"SM{sm_id} must be idle to start setup (state={entry.state})")
+        # Looked up first: an invalid index raises before the SMST changes.
+        assigned = self.ksrt.get(ksr_index).assigned_sms
         self.smst.set_state(sm_id, SMState.SETUP)
         entry.ksr_index = ksr_index
         entry.next_ksr_index = None
-        self.ksrt.get(ksr_index).assigned_sms.add(sm_id)
+        assigned.add(sm_id)
 
     def mark_sm_running(self, sm_id: int) -> None:
         """Record that setup finished and the SM is executing its kernel."""
@@ -269,5 +303,5 @@ class SchedulingFramework:
         out = {name: float(count) for name, count in self.stats.items()}
         out["active_kernels"] = float(len(self.active_queue))
         out["buffered_commands"] = float(self.command_buffers.occupancy())
-        out["idle_sms"] = float(len(self.idle_sms()))
+        out["idle_sms"] = float(self.smst.idle_count)
         return out

@@ -60,7 +60,12 @@ class KernelStatusEntry:
 
 
 class KernelStatusRegisterTable:
-    """Bounded table of Kernel Status Registers (the KSRT)."""
+    """Bounded table of Kernel Status Registers (the KSRT).
+
+    The occupancy is a counter kept by :meth:`allocate` and :meth:`free`,
+    so :attr:`occupancy` and :attr:`has_free_entry` cost O(1) instead of a
+    scan of every slot.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -68,6 +73,7 @@ class KernelStatusRegisterTable:
         self._capacity = capacity
         self._entries: List[Optional[KernelStatusEntry]] = [None] * capacity
         self._by_launch: Dict[int, int] = {}
+        self._occupancy = 0
 
     @property
     def capacity(self) -> int:
@@ -76,13 +82,13 @@ class KernelStatusRegisterTable:
 
     @property
     def occupancy(self) -> int:
-        """Number of valid entries."""
-        return sum(1 for entry in self._entries if entry is not None)
+        """Number of valid entries (O(1))."""
+        return self._occupancy
 
     @property
     def has_free_entry(self) -> bool:
-        """Whether a new kernel can be admitted."""
-        return self.occupancy < self._capacity
+        """Whether a new kernel can be admitted (O(1))."""
+        return self._occupancy < self._capacity
 
     def allocate(self, launch: KernelLaunch, *, activation_time_us: float) -> KernelStatusEntry:
         """Allocate the lowest free entry for ``launch``."""
@@ -97,6 +103,7 @@ class KernelStatusRegisterTable:
                 )
                 self._entries[index] = entry
                 self._by_launch[launch.launch_id] = index
+                self._occupancy += 1
                 return entry
         raise RuntimeError("KSRT is full")
 
@@ -108,6 +115,7 @@ class KernelStatusRegisterTable:
         entry.valid = False
         self._entries[index] = None
         self._by_launch.pop(entry.launch.launch_id, None)
+        self._occupancy -= 1
         return entry
 
     def get(self, index: int) -> KernelStatusEntry:
@@ -139,7 +147,7 @@ class KernelStatusRegisterTable:
         return iter(self.valid_entries())
 
     def __len__(self) -> int:
-        return self.occupancy
+        return self._occupancy
 
 
 class SMStatusEntry:
@@ -202,9 +210,12 @@ class SMStatusTable:
     """The SM Status Table: one entry per SM.
 
     State transitions go through :meth:`set_state` (the scheduling framework
-    is the only mutator), which maintains incremental idle/reserved
-    bookkeeping so the policies' per-decision queries stay cheap on
-    large-GPU configurations instead of rescanning every entry.
+    is the only mutator).  It keeps two counts incremental: the set of idle
+    SMs (so :attr:`idle_count` is O(1) and :meth:`idle_sms` sorts only the
+    idle ids) and :attr:`reserved_count`.  The per-kernel queries
+    (:meth:`sms_for_ksr`, :meth:`running_sms`, :meth:`reserved_sms`) still
+    scan every entry; the policies' hot paths read a kernel's SMs from
+    :attr:`KernelStatusEntry.assigned_sms` instead.
     """
 
     def __init__(self, num_sms: int):
@@ -244,6 +255,11 @@ class SMStatusTable:
     def reserved_count(self) -> int:
         """Number of SMs currently in the RESERVED state (O(1))."""
         return self._reserved_count
+
+    @property
+    def idle_count(self) -> int:
+        """Number of SMs currently in the IDLE state (O(1))."""
+        return len(self._idle)
 
     def idle_sms(self) -> List[int]:
         """Ids of all idle SMs, in ascending order."""

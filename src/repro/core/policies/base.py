@@ -12,7 +12,7 @@ separation (Sec. 3.3): the framework tracks state, the policy decides.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.core.framework.framework import SchedulingFramework
 from repro.core.framework.tables import KernelStatusEntry
@@ -104,15 +104,6 @@ class SchedulingPolicy(abc.ABC):
     # ------------------------------------------------------------------
     # Helpers shared by concrete policies
     # ------------------------------------------------------------------
-    def _active_with_work(self) -> List[KernelStatusEntry]:
-        """Active kernels that still have issuable thread blocks."""
-        framework = self.framework
-        return [
-            entry
-            for entry in framework.active_entries()
-            if framework.kernel_has_issuable_work(entry.index)
-        ]
-
     def _sms_needed(self, entry: KernelStatusEntry) -> int:
         """How many SMs the kernel could productively use right now.
 

@@ -20,13 +20,20 @@ Two policies are provided:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import takewhile
+from typing import Iterable, List, Optional, Sequence
 
 from repro.core.framework.tables import KernelStatusEntry
 from repro.core.policies.base import SchedulingPolicy
 from repro.gpu.command_queue import KernelCommand
 from repro.gpu.sm import SMState
 from repro.registry import register_policy
+
+
+def _admission_key(command: KernelCommand) -> tuple:
+    """Admission order of buffered commands: highest priority, then oldest."""
+    enqueued = command.enqueue_time_us if command.enqueue_time_us is not None else 0.0
+    return (-command.priority, enqueued, command.command_id)
 
 
 @register_policy("npq", "nonpreemptive_priority")
@@ -55,56 +62,52 @@ class NonPreemptivePriorityPolicy(SchedulingPolicy):
         self._assign_idle_sms()
 
     def _admit(self) -> None:
-        """Admit buffered commands, highest priority first."""
+        """Admit buffered commands, highest priority first.
+
+        Activation lets the dispatcher submit the next command, which
+        re-enters :meth:`_schedule`, so each pass re-reads the buffers.
+        """
         framework = self.framework
-        while framework.has_active_capacity:
-            pending = framework.pending_commands()
-            if not pending:
-                return
-            pending.sort(
-                key=lambda c: (
-                    -c.priority,
-                    c.enqueue_time_us if c.enqueue_time_us is not None else 0.0,
-                    c.command_id,
-                )
-            )
-            entry = self.engine.activate_command(pending[0])
+        while framework.has_active_capacity and framework.has_pending_commands:
+            command = min(framework.pending_commands(), key=_admission_key)
+            entry = self.engine.activate_command(command)
             self.on_kernel_activated(entry)
 
-    def _priority_order(self, entries: List[KernelStatusEntry]) -> List[KernelStatusEntry]:
-        """Sort KSR entries by descending priority, then activation order."""
-        return sorted(
-            entries, key=lambda e: (-e.priority, e.activation_time_us, e.index)
-        )
-
-    def _assignment_candidates(self) -> List[KernelStatusEntry]:
+    def _assignment_candidates(
+        self, order: Sequence[KernelStatusEntry]
+    ) -> Iterable[KernelStatusEntry]:
         """Active kernels eligible to receive idle SMs, in assignment order."""
-        return self._priority_order(self._active_with_work())
+        return order
 
     def _assign_idle_sms(self) -> None:
-        """Hand idle SMs to eligible kernels in priority order."""
+        """Hand idle SMs to eligible kernels in policy order.
+
+        A kernel wants an SM while it holds fewer than its issuable blocks
+        need, so one without issuable work never does.  Assigning an SM
+        (``setup_sm``) only adds to the receiver's assigned SMs, so a kernel
+        that stops wanting SMs never wants one again in this loop: one pass
+        over the candidates serves every idle SM, and the idle SMs are not
+        listed when no candidate wants one.
+        """
         framework = self.framework
-        idle = framework.idle_sms()
-        if not idle:
+        if not framework.smst.idle_count:
             return
-        # The candidate list is invariant across the loop: assigning an SM
-        # (mark_sm_setup) changes neither which kernels have issuable work
-        # nor their priority order — only ``_wants_more_sms``, which is
-        # re-evaluated per SM below.
-        candidates = self._assignment_candidates()
-        for sm_id in idle:
-            target = None
-            for entry in candidates:
-                if self._wants_more_sms(entry):
-                    target = entry
-                    break
-            if target is None and candidates:
-                # Every candidate already holds enough SMs for its remaining
-                # blocks; leave the SM idle rather than over-assign.
-                return
-            if target is None:
-                return
-            self.engine.setup_sm(sm_id, target.index)
+        wants = self._wants_more_sms
+        candidates = (
+            entry
+            for entry in self._assignment_candidates(framework.policy_order)
+            if wants(entry)
+        )
+        target = next(candidates, None)
+        if target is None:
+            return
+        setup_sm = self.engine.setup_sm
+        for sm_id in framework.idle_sms():
+            if not wants(target):
+                target = next(candidates, None)
+                if target is None:
+                    return
+            setup_sm(sm_id, target.index)
 
 
 @register_policy(
@@ -134,25 +137,33 @@ class PreemptivePriorityPolicy(NonPreemptivePriorityPolicy):
         self._assign_idle_sms()
         self._enforce_priorities()
 
-    def _assignment_candidates(self) -> List[KernelStatusEntry]:
+    def _assignment_candidates(
+        self, order: Sequence[KernelStatusEntry]
+    ) -> Iterable[KernelStatusEntry]:
         """Eligible receivers of idle SMs.
 
-        With exclusive access only kernels of the highest active priority are
-        scheduled; lower-priority kernels wait even if SMs are free.
+        With exclusive access only kernels of the highest active priority
+        (the head of the order) are scheduled; lower-priority kernels wait
+        even if SMs are free.
         """
-        candidates = self._active_with_work()
-        if not candidates:
-            return []
-        if self.exclusive_access:
-            active = self.framework.active_entries()
-            top_priority = max(entry.priority for entry in active)
-            candidates = [e for e in candidates if e.priority >= top_priority]
-        return self._priority_order(candidates)
+        if not self.exclusive_access or not order:
+            return order
+        top_priority = order[0].priority
+        return takewhile(lambda entry: entry.priority == top_priority, order)
 
     def _enforce_priorities(self) -> None:
-        """Preempt lower-priority SMs that higher-priority kernels need."""
-        framework = self.framework
-        for entry in self._priority_order(self._active_with_work()):
+        """Preempt lower-priority SMs that higher-priority kernels need.
+
+        Only a kernel above the lowest active priority can have a victim,
+        so a tick whose active kernels share one priority returns at once.
+        """
+        order = self.framework.policy_order
+        if not order:
+            return
+        lowest = order[-1].priority
+        for entry in order:
+            if entry.priority == lowest:
+                return
             needed = (
                 self._sms_needed(entry)
                 - entry.num_assigned_sms
@@ -165,14 +176,21 @@ class PreemptivePriorityPolicy(NonPreemptivePriorityPolicy):
                 self.engine.reserve_sm(sm_id, entry.index)
 
     def _victim_sms(self, beneficiary: KernelStatusEntry) -> List[int]:
-        """Running SMs of strictly lower-priority kernels, lowest first."""
-        framework = self.framework
+        """Running SMs of strictly lower-priority kernels, lowest first.
+
+        A kernel's RUNNING SMs are those of its assigned SMs whose SMST
+        state is RUNNING: an SM joins ``assigned_sms`` when it is set up for
+        the kernel and leaves when it goes idle.
+        """
+        smst_entry = self.framework.smst.entry
+        running = SMState.RUNNING
         victims: List[tuple[int, float, int]] = []
-        for victim in framework.active_entries():
+        for victim in reversed(self.framework.policy_order):
             if victim.priority >= beneficiary.priority:
-                continue
-            for sm_id in framework.smst.sms_for_ksr(victim.index, state=SMState.RUNNING):
-                victims.append((victim.priority, -victim.activation_time_us, sm_id))
+                break
+            for sm_id in victim.assigned_sms:
+                if smst_entry(sm_id).state is running:
+                    victims.append((victim.priority, -victim.activation_time_us, sm_id))
         # Preempt the lowest-priority, most recently scheduled kernels first.
         victims.sort()
         return [sm_id for _, _, sm_id in victims]

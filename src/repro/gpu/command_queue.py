@@ -119,21 +119,38 @@ class HardwareQueue:
     head command to an engine the queue is *disabled* until that engine
     reports completion, which preserves the in-order semantics of the stream
     mapped to the queue.
+
+    :attr:`ready` (enabled and not empty) is a plain attribute that
+    :meth:`push`, :meth:`pop` and the :attr:`in_flight` setter keep exact,
+    so the dispatcher's sweep tests each queue with one read.
     """
 
     def __init__(self, queue_id: int):
         self.queue_id = queue_id
         self._commands: Deque[Command] = deque()
-        #: Command currently being executed by an engine (queue disabled).
-        self.in_flight: Optional[Command] = None
+        self._in_flight: Optional[Command] = None
+        #: Whether the dispatcher should inspect the head: no command in
+        #: flight and at least one waiting.
+        self.ready = False
         #: Total commands that ever passed through the queue.
         self.total_enqueued = 0
+
+    @property
+    def in_flight(self) -> Optional[Command]:
+        """Command currently being executed by an engine (queue disabled)."""
+        return self._in_flight
+
+    @in_flight.setter
+    def in_flight(self, command: Optional[Command]) -> None:
+        self._in_flight = command
+        self.ready = command is None and bool(self._commands)
 
     def push(self, command: Command, now: float) -> None:
         """Append a command to the tail of the queue."""
         command.enqueue_time_us = now
         self._commands.append(command)
         self.total_enqueued += 1
+        self.ready = self._in_flight is None
 
     def head(self) -> Optional[Command]:
         """The command at the head of the queue (without removing it)."""
@@ -141,12 +158,14 @@ class HardwareQueue:
 
     def pop(self) -> Command:
         """Remove and return the head command."""
-        return self._commands.popleft()
+        command = self._commands.popleft()
+        self.ready = self._in_flight is None and bool(self._commands)
+        return command
 
     @property
     def enabled(self) -> bool:
         """Whether the dispatcher may inspect this queue."""
-        return self.in_flight is None
+        return self._in_flight is None
 
     @property
     def empty(self) -> bool:

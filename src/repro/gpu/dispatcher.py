@@ -116,10 +116,9 @@ class CommandDispatcher:
                 self._redispatch_requested = False
                 progress = False
                 for queue in self._queues:
-                    if not queue.enabled or queue.empty:
+                    if not queue.ready:
                         continue
                     command = queue.head()
-                    assert command is not None
                     sink = self._sinks[command.engine]
                     if not sink.submit(command):
                         # Engine back-pressure: leave the command at the head.

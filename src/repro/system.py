@@ -121,6 +121,9 @@ class GPUSystem:
         #: Minimum completed iterations per process before :meth:`run` with
         #: ``stop_after_min_iterations`` halts the simulation.
         self._min_iterations: Optional[int] = None
+        #: Set once that stop has fired: the run is over, and a later
+        #: :meth:`run` must not drain the stopped processes' kernels.
+        self._min_iterations_reached = False
         #: Observers installed on the component hooks (see
         #: :meth:`install_observer`); the components themselves keep a single
         #: ``observer`` attribute, multiplexed through a
@@ -390,7 +393,11 @@ class GPUSystem:
         stop_after_min_iterations:
             Stop the simulation as soon as *every* process has completed at
             least this many iterations (the paper's replay methodology).
+            Once that stop has fired the run is over: a later call fires no
+            event and leaves every result as it was.
         """
+        if self._min_iterations_reached:
+            return
         self._min_iterations = stop_after_min_iterations
         for process in self.processes:
             if not process._started:  # noqa: SLF001 - intentional internal check
@@ -410,6 +417,7 @@ class GPUSystem:
         if all(p.completed_iterations >= self._min_iterations for p in self.processes):
             for p in self.processes:
                 p.stop()
+            self._min_iterations_reached = True
             self.simulator.stop()
 
     # ------------------------------------------------------------------

@@ -103,6 +103,31 @@ class TestHardwareQueue:
         queue.in_flight = None
         assert queue.enabled
 
+    def test_ready_means_enabled_and_not_empty(self):
+        queue = HardwareQueue(0)
+        first, second = make_kernel_command(), make_kernel_command()
+
+        def check():
+            assert queue.ready is (queue.enabled and not queue.empty)
+
+        check()
+        queue.push(first, now=0.0)
+        check()
+        queue.push(second, now=0.0)
+        queue.pop()
+        queue.in_flight = first
+        check()
+        assert not queue.ready
+        queue.in_flight = None
+        check()
+        assert queue.ready
+        queue.pop()
+        check()
+        queue.in_flight = second
+        queue.push(make_kernel_command(), now=1.0)
+        check()
+        assert not queue.ready
+
     def test_head_of_empty_queue_is_none(self):
         assert HardwareQueue(0).head() is None
 

@@ -14,6 +14,7 @@ from repro.memory.transfer_engine import TransferSchedulingPolicy
 from repro.sim.observers import BaseObserver
 from repro.system import GPUSystem, run_isolated
 from repro.trace.generator import TraceGenerator
+from repro.workloads.large_gpu import generate_large_gpu_scenario
 
 
 @pytest.fixture
@@ -156,6 +157,46 @@ class TestExecution:
         # contexts (keys are unique); verify the address spaces never shared
         # pages by checking allocations were all released exactly once.
         assert system.dram.allocated_bytes == 0
+
+
+def _large_gpu_8sm():
+    scenario = generate_large_gpu_scenario(8)
+    limits = dict(
+        stop_after_min_iterations=scenario.resolved_min_iterations(),
+        max_events=scenario.resolved_max_events(),
+    )
+    return GPUSystem.from_scenario(scenario), limits
+
+
+def _run_results(system):
+    return (
+        system.execution_engine.utilization_snapshot(),
+        system.iteration_times_us(),
+        system.simulator.now,
+        system.simulator.events_processed,
+    )
+
+
+class TestResume:
+    def test_run_after_the_min_iterations_stop_fires_no_event(self):
+        system, limits = _large_gpu_8sm()
+        system.run(**limits)
+        stopped = _run_results(system)
+        assert stopped[2] == pytest.approx(1204.84, abs=0.01)
+        assert stopped[3] == 345
+        # The stopped processes still have kernels in flight; a second call
+        # must not drain them (it used to end at 1435.30 us after 351 events).
+        system.run(**limits)
+        assert _run_results(system) == stopped
+
+    def test_run_split_before_the_stop_ends_like_the_whole_run(self):
+        whole, limits = _large_gpu_8sm()
+        whole.run(**limits)
+        split, _ = _large_gpu_8sm()
+        split.run(until_us=500.0, **limits)
+        assert split.simulator.now == 500.0
+        split.run(**limits)
+        assert _run_results(split) == _run_results(whole)
 
 
 class TestPolicyDifferentiation:
