@@ -5,18 +5,21 @@ fleet owns the arrival streams and the cluster-level
 :class:`~repro.serving.queue.IngressQueue`; member GPUs interact with the
 cluster *only* at epoch boundaries:
 
-1. All arrivals falling inside the epoch are generated (per-tenant
-   key-addressed streams, exactly the serving driver's semantics) and
-   offered to the cluster queue — fleet-level admission accounting happens
-   here, with the queue's drop/drop_oldest/block policies.
+1. All arrivals falling inside the epoch are taken from the tenant streams
+   (the serving driver's own :class:`~repro.serving.driver.TenantStream`
+   cursors, from :meth:`~repro.serving.driver.ServingSpec.tenant_streams`)
+   and offered to the cluster queue — fleet-level admission accounting
+   happens here, with the queue's drop/drop_oldest/block policies.
 2. At the boundary the queue is dispatched in priority-then-FIFO order and
    each request is routed to a member GPU by the scenario's router
    (:data:`repro.registry.ROUTERS`) over epoch-boundary
    :class:`~repro.cluster.routing.GPUView` snapshots.
 3. Each GPU runs its batch to idle through the pure
-   :func:`~repro.cluster.worker.execute_epoch` function — serially, or
-   sharded over :meth:`repro.runner.BatchRunner.map_tasks`.  Because the
-   worker is a pure function of plain data, both paths are byte-identical.
+   :func:`~repro.cluster.worker.execute_epoch` function, which launches
+   through the serving driver's :class:`~repro.serving.driver.RequestLauncher`
+   — serially, or sharded over :meth:`repro.runner.BatchRunner.map_tasks`.
+   Because the worker is a pure function of plain data, both paths are
+   byte-identical.
 4. Completions fold into per-GPU and fleet-level
    :class:`~repro.serving.metrics.ServingMetrics` in a deterministic merge
    order (completion time, then request id).
@@ -29,15 +32,14 @@ with a ``cluster=`` section here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.cluster.routing import GPUView
 from repro.cluster.spec import ClusterSpec
-from repro.registry import ARRIVALS
 from repro.runner import BatchRunner
 from repro.scenario import ScenarioSpec
-from repro.serving.driver import ServingSpec, TenantSpec
-from repro.serving.metrics import ServingMetrics
+from repro.serving.driver import ServingSpec
+from repro.serving.metrics import ServingMetrics, _round3
 from repro.serving.queue import IngressQueue, Request
 from repro.telemetry.events import TraceEvent
 
@@ -45,21 +47,6 @@ from repro.cluster.worker import execute_epoch, make_epoch_payload
 
 #: Version tag of the fleet summary payload.
 FLEET_SUMMARY_SCHEMA = 1
-
-
-def _round3(value: float) -> float:
-    return round(float(value), 3)
-
-
-@dataclass
-class _TenantCursor:
-    """One tenant's arrival stream, advanced centrally by the fleet."""
-
-    spec: TenantSpec
-    process: Any
-    kernels: List[str]
-    next_arrival_us: float
-    count: int = 0
 
 
 @dataclass
@@ -120,33 +107,10 @@ class GPUFleet:
             capacity=self.spec.queue_capacity, admission=self.spec.admission
         )
         self._request_seq = 0
-        self._cursors: List[_TenantCursor] = []
-        for tenant in self.spec.tenants:
-            process = ARRIVALS.create(
-                tenant.process, seed=tenant.seed, **dict(tenant.options)
-            )
-            self._cursors.append(
-                _TenantCursor(
-                    spec=tenant,
-                    process=process,
-                    kernels=sorted(suite.trace(tenant.app).kernels),
-                    next_arrival_us=process.next_gap_us(),
-                )
-            )
-        budgets = {t.name: t.slo_us for t in self.spec.tenants}
-
-        def _metrics() -> ServingMetrics:
-            return ServingMetrics(
-                tenants=budgets,
-                warmup_us=self.spec.warmup_us,
-                window_us=self.spec.window_us,
-                seed=self.spec.metrics_seed,
-                reservoir_capacity=self.spec.reservoir_capacity,
-            )
-
-        self.metrics = _metrics()
+        self._streams = self.spec.tenant_streams(suite)
+        self.metrics = self.spec.new_metrics()
         self._members = [
-            _MemberState(view=GPUView(gpu_id=gpu_id), metrics=_metrics())
+            _MemberState(view=GPUView(gpu_id=gpu_id), metrics=self.spec.new_metrics())
             for gpu_id in range(self.cluster.num_gpus)
         ]
         self.epochs = 0
@@ -178,27 +142,13 @@ class GPUFleet:
     # Arrival generation (epoch granularity)
     # ------------------------------------------------------------------
     def _arrivals_until(self, bound_us: float) -> List[Request]:
-        """Generate every arrival with ``arrival <= bound`` (and horizon)."""
-        horizon = self.spec.horizon_us
+        """Take every arrival with ``arrival <= bound`` (and horizon)."""
+        limit = min(bound_us, self.spec.horizon_us)
         pending: List[Request] = []
-        for slot, cursor in enumerate(self._cursors):
-            while cursor.next_arrival_us <= min(bound_us, horizon):
-                arrival_us = cursor.next_arrival_us
-                pending.append(
-                    Request(
-                        request_id=0,  # assigned after the merge sort
-                        tenant=cursor.spec.name,
-                        kernel=cursor.kernels[cursor.count % len(cursor.kernels)],
-                        priority=cursor.spec.priority,
-                        arrival_us=arrival_us,
-                        tenant_index=cursor.count,
-                    )
-                )
-                cursor.count += 1
-                # Gaps accumulate from true arrival times (queueing- and
-                # epoch-independent), like the single-GPU serving driver.
-                cursor.next_arrival_us = arrival_us + cursor.process.next_gap_us()
-        slots = {cursor.spec.name: slot for slot, cursor in enumerate(self._cursors)}
+        for stream in self._streams:
+            while stream.next_arrival_us <= limit:
+                pending.append(stream.take(0))  # ids follow the merge sort
+        slots = {stream.spec.name: stream.spec.slot for stream in self._streams}
         pending.sort(key=lambda r: (r.arrival_us, slots[r.tenant], r.tenant_index))
         for request in pending:
             request.request_id = self._request_seq
@@ -367,12 +317,7 @@ class GPUFleet:
             "router": self.cluster.router,
             "epoch_us": _round3(self.cluster.epoch_us),
             "epochs": self.epochs,
-            "queue": {
-                "capacity": spec.queue_capacity,
-                "admission": spec.admission,
-                "max_inflight": spec.max_inflight,
-                **self.queue.counters.to_dict(),
-            },
+            "queue": spec.queue_summary(self.queue.counters),
             **self.metrics.summary(now_us=now),
             "per_gpu": per_gpu,
         }

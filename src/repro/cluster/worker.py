@@ -12,7 +12,10 @@ epoch batch is run to idle, so a GPU's cross-epoch state reduces to its
 clock and its launch count (the same quiesce-at-idle reduction the serving
 checkpoints use).  Each call rebuilds a fresh system from those two resume
 values with :meth:`~repro.system.GPUSystem.from_scenario`, which makes the
-epoch split invisible in the results.
+epoch split invisible in the results.  Requests reach the GPU at their
+cluster arrival times and launch through the serving driver's
+:class:`~repro.serving.driver.RequestLauncher`; the worker only records each
+completion.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Any, Dict, List
 
 from repro.runner import runner_for
 from repro.scenario import ScenarioSpec
-from repro.serving.driver import ServingSpec
+from repro.serving.driver import RequestLauncher, ServingSpec
 from repro.serving.queue import IngressQueue, Request
 from repro.system import GPUSystem
 
@@ -52,7 +55,6 @@ class _EpochRun:
         # ``GPUFleet``), so member systems run without a hub.
         scenario = ScenarioSpec.from_dict({**payload["scenario"], "metrics": None})
         self.scenario = scenario
-        self.spec = ServingSpec.from_scenario(scenario)
         self.gpu_id = int(payload["gpu_id"])
         # The runner caches the scaled config and the suite per process:
         # rebuilding the suite per epoch would swamp the simulation work.
@@ -66,29 +68,17 @@ class _EpochRun:
         )
         if self.system.telemetry is not None:
             self.system.telemetry.gpu_id = self.gpu_id
-        #: Observer target, kept in sync by ``GPUSystem._rewire_observers``.
-        self.observer = None
-        self.system.serving = self
-        self.system._rewire_observers()  # noqa: SLF001 - as ServingDriver does
-        self._tenants = self.spec.tenant_contexts(self.system, runner.suite)
-
-        self._batch = [
-            Request(
-                request_id=int(item["request_id"]),
-                tenant=str(item["tenant"]),
-                kernel=str(item["kernel"]),
-                priority=int(item["priority"]),
-                arrival_us=float(item["arrival_us"]),
-                tenant_index=int(item["tenant_index"]),
-            )
-            for item in payload["batch"]
-        ]
+        self._batch = [Request(**item) for item in payload["batch"]]
         # Local dispatch queue: big enough to never drop; preserves the
         # fleet-wide priority-then-FIFO contract among co-located requests.
-        self._queue = IngressQueue(
-            capacity=max(1, len(self._batch)), admission="block"
+        queue = IngressQueue(capacity=max(1, len(self._batch)), admission="block")
+        self.launcher = RequestLauncher(
+            self.system,
+            ServingSpec.from_scenario(scenario),
+            runner.suite,
+            queue,
+            self._on_complete,
         )
-        self._inflight = 0
         self._completions: List[Dict[str, Any]] = []
 
     # ------------------------------------------------------------------
@@ -96,6 +86,7 @@ class _EpochRun:
     # ------------------------------------------------------------------
     def run(self) -> Dict[str, Any]:
         sim = self.system.simulator
+        launcher = self.launcher
         for request in self._batch:
             # A request reaches this GPU at its (cluster) arrival time, or
             # immediately if the GPU's clock is already past it.
@@ -105,10 +96,10 @@ class _EpochRun:
                 label=f"fleet.gpu{self.gpu_id}.arrival",
             )
         self.system.run(max_events=self.scenario.resolved_max_events())
-        if self._inflight or len(self._queue):
+        if launcher.inflight or len(launcher.queue):
             raise RuntimeError(
                 f"fleet epoch stopped with work outstanding on gpu {self.gpu_id} "
-                f"(inflight={self._inflight}, queued={len(self._queue)})"
+                f"(inflight={launcher.inflight}, queued={len(launcher.queue)})"
             )
         self._completions.sort(key=lambda c: (c["complete_us"], c["request_id"]))
         result: Dict[str, Any] = {
@@ -126,36 +117,10 @@ class _EpochRun:
         return result
 
     def _on_available(self, request: Request) -> None:
-        self._queue.offer(request)
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        while self._inflight < self.spec.max_inflight:
-            request = self._queue.pop()
-            if request is None:
-                break
-            self._launch(request)
-
-    def _launch(self, request: Request) -> None:
-        now = self.system.simulator.now
-        request.admit_us = now
-        context, kernels = self._tenants[request.tenant]
-        _, kernel_spec = kernels[request.tenant_index % len(kernels)]
-        command = self.system.driver.launch_kernel(
-            context, kernel_spec, priority=request.priority
-        )
-        self._inflight += 1
-        if self.observer is not None:
-            self.observer.on_request_admitted(request, now)
-        command.subscribe_completion(
-            lambda done_us, request=request: self._on_complete(request, done_us)
-        )
+        self.launcher.queue.offer(request)
+        self.launcher.dispatch()
 
     def _on_complete(self, request: Request, now: float) -> None:
-        request.complete_us = now
-        self._inflight -= 1
-        if self.observer is not None:
-            self.observer.on_request_completed(request, now)
         self._completions.append(
             {
                 "request_id": request.request_id,
@@ -165,7 +130,6 @@ class _EpochRun:
                 "complete_us": now,
             }
         )
-        self._dispatch()
 
 
 def execute_epoch(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -108,10 +108,8 @@ class KernelStatusRegisterTable:
         raise RuntimeError("KSRT is full")
 
     def free(self, index: int) -> KernelStatusEntry:
-        """Invalidate and return the entry at ``index``."""
-        entry = self._entries[index]
-        if entry is None:
-            raise KeyError(f"KSRT entry {index} is not valid")
+        """Invalidate and return the entry at ``index`` (KeyError if invalid)."""
+        entry = self.get(index)
         entry.valid = False
         self._entries[index] = None
         self._by_launch.pop(entry.launch.launch_id, None)
@@ -119,8 +117,15 @@ class KernelStatusRegisterTable:
         return entry
 
     def get(self, index: int) -> KernelStatusEntry:
-        """Return the valid entry at ``index`` (KeyError if invalid)."""
-        entry = self._entries[index]
+        """Return the valid entry at ``index`` (KeyError if invalid).
+
+        An index outside ``[0, capacity)`` is invalid too: a negative one
+        must not wrap around to the last entries.
+        """
+        try:
+            entry = self._entries[index] if index >= 0 else None
+        except IndexError:
+            entry = None
         if entry is None:
             raise KeyError(f"KSRT entry {index} is not valid")
         return entry

@@ -10,8 +10,7 @@ O(1)-memory view of what a run is doing *while* it executes:
 * :mod:`repro.obs.samplers` — read-only per-layer samplers (engine, GPU,
   serving, cluster).
 * :mod:`repro.obs.exporters` — JSONL time series, Prometheus text
-  exposition and an ASCII dashboard (registry-pluggable via
-  :data:`repro.registry.EXPORTERS`).
+  exposition and an ASCII dashboard.
 * :mod:`repro.obs.profiler` — wall-clock self-profiling per event kind and
   per phase (the multi-line ``--profile`` report).
 * :mod:`repro.obs.health` — heartbeat lines for long serving runs.
@@ -22,9 +21,6 @@ observability on or off.
 """
 
 from repro.obs.exporters import (
-    DashboardExporter,
-    JSONLExporter,
-    PrometheusExporter,
     read_jsonl,
     render_dashboard,
     render_jsonl,
@@ -68,9 +64,6 @@ __all__ = [
     "attach_gpu_metrics",
     "attach_serving_metrics",
     "attach_fleet_metrics",
-    "JSONLExporter",
-    "PrometheusExporter",
-    "DashboardExporter",
     "render_jsonl",
     "write_jsonl",
     "read_jsonl",

@@ -1,26 +1,22 @@
 """Snapshot exporters: JSONL time series, Prometheus text, ASCII dashboard.
 
-Exporters are registry-pluggable (:data:`repro.registry.EXPORTERS`) so
-downstream tooling can add its own formats::
+Each format is a plain function of the hub's ``meta`` mapping and its
+snapshot rows (Prometheus: its registry's last values)::
 
-    from repro.registry import EXPORTERS
-    exporter = EXPORTERS.create("jsonl", path="run.metrics.jsonl")
-    exporter.export(hub)
+    write_jsonl(hub.rows, "run.metrics.jsonl", meta=hub.meta)
+    write_prometheus(hub.registry, "run.metrics.prom", meta=hub.meta)
+    print(render_dashboard(hub.rows, meta=hub.meta))
 
-All three built-ins consume the same inputs — the hub's ``meta`` mapping and
-its list of snapshot rows — and are deterministic: the same rows always
-produce the same bytes (the serial-vs-parallel JSONL identity in
-``tests/obs/test_determinism.py`` depends on this, so keep ``sort_keys`` and
-the fixed separators).
+All three are deterministic: the same rows always produce the same bytes
+(the serial-vs-parallel JSONL identity in ``tests/obs/test_determinism.py``
+depends on this, so keep ``sort_keys`` and the fixed separators).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO
-
-from repro.registry import register_exporter
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 _PROM_NAME = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -181,56 +177,7 @@ def render_dashboard(
     return "\n".join(lines) + "\n"
 
 
-# ----------------------------------------------------------------------
-# Registry-pluggable exporter objects
-# ----------------------------------------------------------------------
-@register_exporter("jsonl")
-class JSONLExporter:
-    """Write the hub's snapshot rows as a JSONL time series."""
-
-    name = "jsonl"
-
-    def __init__(self, *, path: str):
-        self.path = path
-
-    def export(self, hub) -> str:
-        return write_jsonl(hub.rows, self.path, meta=hub.meta)
-
-
-@register_exporter("prometheus", "prom")
-class PrometheusExporter:
-    """Write the registry's latest values in Prometheus text exposition."""
-
-    name = "prometheus"
-
-    def __init__(self, *, path: str):
-        self.path = path
-
-    def export(self, hub) -> str:
-        return write_prometheus(hub.registry, self.path, meta=hub.meta)
-
-
-@register_exporter("dashboard", "ascii")
-class DashboardExporter:
-    """Render the ASCII dashboard (to a stream, or return the text)."""
-
-    name = "dashboard"
-
-    def __init__(self, *, stream: Optional[TextIO] = None, width: int = 40):
-        self.stream = stream
-        self.width = width
-
-    def export(self, hub) -> str:
-        text = render_dashboard(hub.rows, meta=hub.meta, width=self.width)
-        if self.stream is not None:
-            self.stream.write(text)
-        return text
-
-
 __all__ = [
-    "JSONLExporter",
-    "PrometheusExporter",
-    "DashboardExporter",
     "render_jsonl",
     "write_jsonl",
     "read_jsonl",

@@ -89,7 +89,7 @@ def attach_serving_metrics(hub: MetricsHub, driver) -> None:
     def sample(now_us: float) -> None:
         counters = driver.queue.counters
         depth.set(len(driver.queue))
-        inflight.set(driver._inflight)
+        inflight.set(driver.launcher.inflight)
         arrived.set(counters.arrived)
         admitted.set(counters.admitted)
         dropped.set(counters.dropped)

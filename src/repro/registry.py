@@ -1,6 +1,6 @@
 """Component registries for the pluggable parts of the simulated system.
 
-Eight registries name the pluggable components:
+Seven registries name the pluggable components:
 
 * :data:`POLICIES` — scheduling policies (``fcfs``, ``npq``, ``ppq``,
   ``ppq_shared``, ``dss``, ...),
@@ -15,8 +15,6 @@ Eight registries name the pluggable components:
 * :data:`ROUTERS` — cluster request routers placing admitted requests on
   fleet member GPUs (``round_robin``, ``least_loaded``, ``tenant_affinity``,
   ``priority_spill``),
-* :data:`EXPORTERS` — metrics snapshot exporters (``jsonl``,
-  ``prometheus``, ``dashboard``),
 * :data:`TRACE_SOURCES` — workload-trace synthesizers for the trace-driven
   load generator (``azure_faas``, ``pareto_burst``, ``lognormal_diurnal``).
 
@@ -221,7 +219,7 @@ class ComponentRegistry:
 
 
 # ----------------------------------------------------------------------
-# The three registries (built-ins are imported lazily on first lookup)
+# The registries (built-ins are imported lazily on first lookup)
 # ----------------------------------------------------------------------
 def _load_builtin_policies() -> None:
     import repro.core.policies  # noqa: F401  (registers on import)
@@ -247,10 +245,6 @@ def _load_builtin_routers() -> None:
     import repro.cluster.routing  # noqa: F401
 
 
-def _load_builtin_exporters() -> None:
-    import repro.obs.exporters  # noqa: F401
-
-
 def _load_builtin_trace_sources() -> None:
     import repro.loadgen.synth  # noqa: F401
 
@@ -263,7 +257,6 @@ TRANSFER_POLICIES = ComponentRegistry(
 )
 ARRIVALS = ComponentRegistry("arrival process", _load_builtin_arrivals)
 ROUTERS = ComponentRegistry("cluster router", _load_builtin_routers)
-EXPORTERS = ComponentRegistry("metrics exporter", _load_builtin_exporters)
 TRACE_SOURCES = ComponentRegistry("trace source", _load_builtin_trace_sources)
 
 
@@ -292,11 +285,6 @@ def register_arrival(name: str, *aliases: str, **kwargs):
     return ARRIVALS.register(name, *aliases, **kwargs)
 
 
-def register_exporter(name: str, *aliases: str, **kwargs):
-    """Register a metrics snapshot exporter (decorator)."""
-    return EXPORTERS.register(name, *aliases, **kwargs)
-
-
 def register_router(name: str, *aliases: str, **kwargs):
     """Register a cluster request router (decorator)."""
     return ROUTERS.register(name, *aliases, **kwargs)
@@ -318,7 +306,6 @@ __all__ = [
     "TRANSFER_POLICIES",
     "ARRIVALS",
     "ROUTERS",
-    "EXPORTERS",
     "TRACE_SOURCES",
     "register_policy",
     "register_mechanism",
@@ -326,6 +313,5 @@ __all__ = [
     "register_transfer_policy",
     "register_arrival",
     "register_router",
-    "register_exporter",
     "register_trace_source",
 ]

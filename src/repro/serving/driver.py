@@ -1,12 +1,19 @@
-"""The open-loop serving driver: arrival streams → admission → GPU launches.
+"""The open-loop request path: tenant streams → admission → GPU launches.
 
-:class:`ServingDriver` executes one *segment* of an open-loop serving run on
-a fresh :class:`~repro.system.GPUSystem`: per-tenant arrival processes
-generate timed request events, requests pass through the bounded
-:class:`~repro.serving.queue.IngressQueue`, and admitted requests launch one
-kernel each (drawn round-robin from the tenant's application trace) with the
-tenant's priority, which the GPU scheduling policy then arbitrates.
-Completions feed the O(1)-memory :class:`~repro.serving.metrics.ServingMetrics`.
+Two open loops serve requests from per-tenant arrival streams: this module's
+:class:`ServingDriver` on one GPU, and :class:`repro.cluster.GPUFleet` across
+several.  Both draw their requests from the same :class:`TenantStream`
+cursors (:meth:`ServingSpec.tenant_streams`) and launch them through the same
+:class:`RequestLauncher`, which admits queued requests up to ``max_inflight``
+and launches one kernel each (drawn round-robin from the tenant's application
+trace) with the tenant's priority, which the GPU scheduling policy then
+arbitrates.
+
+:class:`ServingDriver` executes one *segment* of a serving run on a fresh
+:class:`~repro.system.GPUSystem`: it schedules each stream's arrivals as
+events, offers them to the bounded :class:`~repro.serving.queue.IngressQueue`,
+and feeds completions to the O(1)-memory
+:class:`~repro.serving.metrics.ServingMetrics`.
 
 Checkpoint/resume uses *quiesce-at-idle* semantics: a segment asked to stop
 near time ``b`` keeps running normally until the first instant at or after
@@ -17,9 +24,9 @@ estimators — all JSON-serialisable — so a resumed run rebuilt from the
 checkpoint is *byte-identical* to the unsplit run: the segment's system is
 built by :meth:`~repro.system.GPUSystem.from_scenario` at the checkpoint's
 clock and launch count (per-launch deterministic jitter is keyed by launch
-id), :meth:`ServingSpec.tenant_contexts` creates the contexts in spec order
-(same context ids), and arrival gaps are key-addressed by request index, not
-RNG state.  A malformed checkpoint raises :class:`ValueError`.
+id), the launcher creates the tenant contexts in spec order (same context
+ids), and arrival gaps are key-addressed by request index, not RNG state.  A
+malformed checkpoint raises :class:`ValueError`.
 
 Use :func:`run_serving` for whole runs (optionally split across checkpoint
 bounds); it JSON-round-trips every checkpoint to prove serialisability.
@@ -35,7 +42,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.registry import ARRIVALS
 from repro.scenario import ScenarioSpec
 from repro.serving.arrivals import ArrivalProcess
-from repro.serving.metrics import ServingMetrics
+from repro.serving.metrics import ServingMetrics, _round3
 from repro.serving.queue import ADMISSION_POLICIES, IngressQueue, QueueCounters, Request
 from repro.system import GPUSystem
 
@@ -63,10 +70,6 @@ _ARRIVAL_KEYS = frozenset(
 #: Per-tenant keys consumed by the driver itself; every *other* key in a
 #: tenant mapping is passed through as an arrival-process option.
 _TENANT_DRIVER_KEYS = frozenset({"process", "seed", "priority", "slo_us"})
-
-
-def _round3(value: float) -> float:
-    return round(float(value), 3)
 
 
 @dataclass
@@ -197,21 +200,66 @@ class ServingSpec:
             tenants=tenants,
         )
 
-    def tenant_contexts(
-        self, system, suite
-    ) -> Dict[str, Tuple[Any, List[Tuple[str, Any]]]]:
-        """``{tenant: (context, kernels)}``, creating the contexts in spec order.
-
-        ``kernels`` are the app's ``(name, KernelSpec)`` pairs, sorted by name.
-        The fixed order keeps context ids stable across segments and epochs.
-        """
-        contexts = {}
+    def tenant_streams(self, suite) -> List["TenantStream"]:
+        """One stream per tenant, in spec order, each at its first arrival."""
+        streams = []
         for tenant in self.tenants:
-            trace = suite.trace(tenant.app)
-            kernels = [(name, trace.kernels[name]) for name in sorted(trace.kernels)]
-            context = system.driver.create_context(tenant.name, priority=tenant.priority)
-            contexts[tenant.name] = (context, kernels)
-        return contexts
+            process = ARRIVALS.create(tenant.process, seed=tenant.seed, **tenant.options)
+            kernels = sorted(suite.trace(tenant.app).kernels)
+            streams.append(TenantStream(tenant, process, kernels, process.next_gap_us()))
+        return streams
+
+    def new_metrics(self) -> ServingMetrics:
+        """Empty metrics with the tenants' SLO budgets and the spec's estimators."""
+        return ServingMetrics(
+            tenants={t.name: t.slo_us for t in self.tenants},
+            warmup_us=self.warmup_us,
+            window_us=self.window_us,
+            seed=self.metrics_seed,
+            reservoir_capacity=self.reservoir_capacity,
+        )
+
+    def queue_summary(self, counters: QueueCounters) -> Dict[str, Any]:
+        """A summary's ``queue`` section: the admission settings and ``counters``."""
+        return {
+            "capacity": self.queue_capacity,
+            "admission": self.admission,
+            "max_inflight": self.max_inflight,
+            **counters.to_dict(),
+        }
+
+
+@dataclass
+class TenantStream:
+    """One tenant's arrival stream: the cursor every open loop advances."""
+
+    spec: TenantSpec
+    process: ArrivalProcess
+    #: The app's kernel names, sorted; requests cycle through them.
+    kernels: List[str]
+    #: Absolute time of the tenant's next (not yet taken) arrival.
+    next_arrival_us: float
+    #: Requests taken so far (the arrival-stream cursor).
+    count: int = 0
+
+    def take(self, request_id: int) -> Request:
+        """The request arriving at :attr:`next_arrival_us`; advances the stream.
+
+        Gaps accumulate from *true* arrival times, so the arrival schedule is
+        independent of queueing, segmentation and fleet epochs.
+        """
+        arrival_us = self.next_arrival_us
+        request = Request(
+            request_id=request_id,
+            tenant=self.spec.name,
+            kernel=self.kernels[self.count % len(self.kernels)],
+            priority=self.spec.priority,
+            arrival_us=arrival_us,
+            tenant_index=self.count,
+        )
+        self.count += 1
+        self.next_arrival_us = arrival_us + self.process.next_gap_us()
+        return request
 
 
 #: What a checkpoint field must be: (test, description).
@@ -269,28 +317,81 @@ def _restored(section: str, restore: Callable[[Any], Any], state: Any) -> Any:
         raise ValueError(f"serving checkpoint {section} cannot be restored: {exc!r}") from exc
 
 
-@dataclass
-class _TenantRuntime:
-    """Live per-tenant state inside one segment."""
+class RequestLauncher:
+    """Launches queued requests on one system, at most ``max_inflight`` at once.
 
-    spec: TenantSpec
-    process: ArrivalProcess
-    context: Any
-    #: (kernel name, KernelSpec) in sorted-name order; requests cycle it.
-    kernels: List[Tuple[str, Any]]
-    #: Absolute time of the tenant's next (not yet offered) arrival.
-    next_arrival_us: float
-    #: Requests generated so far (the arrival-stream cursor).
-    count: int = 0
+    It creates one GPU context per tenant, in spec order, and registers as
+    the system's ``serving`` component, so its :attr:`observer` slot is wired
+    like any component's; it emits the admitted and completed hooks.
+    ``on_complete(request, now)`` runs at each completion, before the freed
+    launch slot is refilled.
+    """
+
+    def __init__(
+        self,
+        system: GPUSystem,
+        spec: ServingSpec,
+        suite,
+        queue: IngressQueue,
+        on_complete: Callable[[Request, float], None],
+    ):
+        self.system = system
+        self.queue = queue
+        self.max_inflight = spec.max_inflight
+        self.on_complete = on_complete
+        #: Requests launched and not yet completed.
+        self.inflight = 0
+        #: Observer target, kept in sync by ``GPUSystem._rewire_observers``.
+        self.observer = None
+        system.serving = self
+        system._rewire_observers()  # noqa: SLF001 - observers pre-date us
+        #: ``{tenant: (context, {kernel name: KernelSpec})}``.
+        self.contexts = {
+            tenant.name: (
+                system.driver.create_context(tenant.name, priority=tenant.priority),
+                suite.trace(tenant.app).kernels,
+            )
+            for tenant in spec.tenants
+        }
+
+    def dispatch(self) -> None:
+        """Launch queued requests while a launch slot is free."""
+        while self.inflight < self.max_inflight:
+            request = self.queue.pop()
+            if request is None:
+                break
+            self._launch(request)
+
+    def _launch(self, request: Request) -> None:
+        now = self.system.simulator.now
+        request.admit_us = now
+        context, kernels = self.contexts[request.tenant]
+        command = self.system.driver.launch_kernel(
+            context, kernels[request.kernel], priority=request.priority
+        )
+        self.inflight += 1
+        if self.observer is not None:
+            self.observer.on_request_admitted(request, now)
+        command.subscribe_completion(
+            lambda done_us, request=request: self._complete(request, done_us)
+        )
+
+    def _complete(self, request: Request, now: float) -> None:
+        request.complete_us = now
+        self.inflight -= 1
+        self.on_complete(request, now)
+        if self.observer is not None:
+            self.observer.on_request_completed(request, now)
+        self.dispatch()
 
 
 class ServingDriver:
     """Executes one serving segment on a fresh :class:`GPUSystem`.
 
-    The driver owns the system: it creates one GPU context per tenant,
-    schedules arrival events, admits requests through the ingress queue and
-    launches their kernels.  After :meth:`run` returns, :meth:`summary` and
-    :meth:`checkpoint` expose the results.
+    The driver owns the system: it schedules each tenant stream's arrivals,
+    offers them to the ingress queue and hands admission and launches to
+    its :class:`RequestLauncher`.  After :meth:`run` returns, :meth:`summary`
+    and :meth:`checkpoint` expose the results.
     """
 
     def __init__(
@@ -328,57 +429,35 @@ class ServingDriver:
             # host processes.
             launch_base=self.queue.counters.admitted,
         )
-        #: Observer target, kept in sync by ``GPUSystem._rewire_observers``.
-        self.observer = None
-        self.system.serving = self
-        self.system._rewire_observers()  # noqa: SLF001 - observers pre-date us
+        self.launcher = RequestLauncher(
+            self.system, spec, self.suite, self.queue, self._on_complete
+        )
 
         if state:
             self.metrics = _restored("metrics", ServingMetrics.restore, state["metrics"])
             self._request_seq = int(state["request_seq"])
             self._events_before = int(state["events_processed"])
         else:
-            self.metrics = ServingMetrics(
-                tenants={t.name: t.slo_us for t in spec.tenants},
-                warmup_us=spec.warmup_us,
-                window_us=spec.window_us,
-                seed=spec.metrics_seed,
-                reservoir_capacity=spec.reservoir_capacity,
-            )
+            self.metrics = spec.new_metrics()
             self._request_seq = 0
             self._events_before = 0
 
-        self._tenants: List[_TenantRuntime] = []
-        contexts = spec.tenant_contexts(self.system, self.suite)
-        for tenant in spec.tenants:
-            process = ARRIVALS.create(
-                tenant.process, seed=tenant.seed, **dict(tenant.options)
-            )
-            context, kernels = contexts[tenant.name]
-            runtime = _TenantRuntime(
-                spec=tenant,
-                process=process,
-                context=context,
-                kernels=kernels,
-                next_arrival_us=0.0,
-            )
-            if state:
-                tstate = state["tenants"][tenant.name]
-                _restored(f"tenants.{tenant.name}.process", process.restore, tstate["process"])
-                runtime.next_arrival_us = float(tstate["next_arrival_us"])
-                runtime.count = int(tstate["count"])
+        self._streams = spec.tenant_streams(self.suite)
+        if state:
+            # Each stream's cursor is restored over its creation-time draw.
+            for stream in self._streams:
+                name = stream.spec.name
+                tstate = state["tenants"][name]
+                _restored(f"tenants.{name}.process", stream.process.restore, tstate["process"])
+                stream.next_arrival_us = float(tstate["next_arrival_us"])
+                stream.count = int(tstate["count"])
                 # An arrival past the horizon is never scheduled, so a drained
                 # run's final checkpoint may carry one behind its clock.
-                if start_us > runtime.next_arrival_us <= spec.horizon_us:
+                if start_us > stream.next_arrival_us <= spec.horizon_us:
                     raise ValueError(
-                        f"checkpoint tenant {tenant.name!r} has next_arrival_us "
-                        f"{runtime.next_arrival_us} before clock_us {start_us}"
+                        f"checkpoint tenant {name!r} has next_arrival_us "
+                        f"{stream.next_arrival_us} before clock_us {start_us}"
                     )
-            else:
-                runtime.next_arrival_us = process.next_gap_us()
-            self._tenants.append(runtime)
-        self._by_name = {runtime.spec.name: runtime for runtime in self._tenants}
-        self._inflight = 0
         self._quiesce_armed = False
         self._stopped_for_checkpoint = False
         #: True once the run reached the horizon and drained (vs. quiesced).
@@ -416,9 +495,9 @@ class ServingDriver:
         segment (resuming the checkpoint is then a no-op segment).
         """
         sim = self.system.simulator
-        for runtime in self._tenants:
-            if runtime.next_arrival_us <= self.spec.horizon_us:
-                self._schedule_arrival(runtime)
+        for stream in self._streams:
+            if stream.next_arrival_us <= self.spec.horizon_us:
+                self._schedule_arrival(stream)
         if quiesce_at_us is not None:
             sim.schedule(
                 max(0.0, float(quiesce_at_us) - sim.now),
@@ -426,85 +505,43 @@ class ServingDriver:
                 label="serving.quiesce",
             )
         self.system.run(max_events=self.scenario.resolved_max_events())
-        if self._inflight or len(self.queue):
+        if self.launcher.inflight or len(self.queue):
             raise RuntimeError(
                 "serving segment stopped with work outstanding "
-                f"(inflight={self._inflight}, queued={len(self.queue)})"
+                f"(inflight={self.launcher.inflight}, queued={len(self.queue)})"
             )
         self.complete = not self._stopped_for_checkpoint
         return self
 
-    def _schedule_arrival(self, runtime: _TenantRuntime) -> None:
+    def _schedule_arrival(self, stream: TenantStream) -> None:
         sim = self.system.simulator
         sim.schedule(
-            max(0.0, runtime.next_arrival_us - sim.now),
-            lambda runtime=runtime: self._on_arrival(runtime),
-            label=f"serving.arrival.{runtime.spec.name}",
+            max(0.0, stream.next_arrival_us - sim.now),
+            lambda stream=stream: self._on_arrival(stream),
+            label=f"serving.arrival.{stream.spec.name}",
         )
 
-    def _on_arrival(self, runtime: _TenantRuntime) -> None:
-        spec = runtime.spec
-        arrival_us = runtime.next_arrival_us
-        kernel_name, _ = runtime.kernels[runtime.count % len(runtime.kernels)]
-        request = Request(
-            request_id=self._request_seq,
-            tenant=spec.name,
-            kernel=kernel_name,
-            priority=spec.priority,
-            arrival_us=arrival_us,
-            tenant_index=runtime.count,
-        )
+    def _on_arrival(self, stream: TenantStream) -> None:
+        request = stream.take(self._request_seq)
         self._request_seq += 1
-        runtime.count += 1
-        # Advance the stream; gaps accumulate from *true* arrival times, so
-        # the arrival schedule is independent of queueing and segmentation.
-        runtime.next_arrival_us = arrival_us + runtime.process.next_gap_us()
-        if runtime.next_arrival_us <= self.spec.horizon_us:
-            self._schedule_arrival(runtime)
+        if stream.next_arrival_us <= self.spec.horizon_us:
+            self._schedule_arrival(stream)
         now = self.system.simulator.now
-        if self.observer is not None:
-            self.observer.on_request_arrived(request, now)
+        observer = self.launcher.observer
+        if observer is not None:
+            observer.on_request_arrived(request, now)
         dropped = self.queue.offer(request)
-        if dropped is not None and self.observer is not None:
-            self.observer.on_request_dropped(dropped, now)
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        while self._inflight < self.spec.max_inflight:
-            request = self.queue.pop()
-            if request is None:
-                break
-            self._launch(request)
-
-    def _launch(self, request: Request) -> None:
-        runtime = self._by_name[request.tenant]
-        now = self.system.simulator.now
-        request.admit_us = now
-        _, kernel_spec = runtime.kernels[
-            request.tenant_index % len(runtime.kernels)
-        ]
-        command = self.system.driver.launch_kernel(
-            runtime.context, kernel_spec, priority=request.priority
-        )
-        self._inflight += 1
-        if self.observer is not None:
-            self.observer.on_request_admitted(request, now)
-        command.subscribe_completion(
-            lambda done_us, request=request: self._on_complete(request, done_us)
-        )
+        if dropped is not None and observer is not None:
+            observer.on_request_dropped(dropped, now)
+        self.launcher.dispatch()
 
     def _on_complete(self, request: Request, now: float) -> None:
-        request.complete_us = now
-        self._inflight -= 1
         self.metrics.record_completion(
             request.tenant,
             arrival_us=request.arrival_us,
             admit_us=request.admit_us,
             complete_us=now,
         )
-        if self.observer is not None:
-            self.observer.on_request_completed(request, now)
-        self._dispatch()
         self._maybe_quiesce()
 
     def _on_quiesce_probe(self) -> None:
@@ -515,7 +552,7 @@ class ServingDriver:
         if (
             self._quiesce_armed
             and not self._stopped_for_checkpoint
-            and self._inflight == 0
+            and self.launcher.inflight == 0
             and len(self.queue) == 0
         ):
             self._stopped_for_checkpoint = True
@@ -540,12 +577,12 @@ class ServingDriver:
             "queue_counters": self.queue.counters.to_dict(),
             "metrics": self.metrics.state(),
             "tenants": {
-                runtime.spec.name: {
-                    "process": runtime.process.state(),
-                    "next_arrival_us": runtime.next_arrival_us,
-                    "count": runtime.count,
+                stream.spec.name: {
+                    "process": stream.process.state(),
+                    "next_arrival_us": stream.next_arrival_us,
+                    "count": stream.count,
                 }
-                for runtime in self._tenants
+                for stream in self._streams
             },
         }
         # Optional (schema-compatible): checkpoints from metrics-off runs
@@ -562,12 +599,7 @@ class ServingDriver:
             "schema": SUMMARY_SCHEMA,
             "horizon_us": _round3(spec.horizon_us),
             "simulated_time_us": _round3(now),
-            "queue": {
-                "capacity": spec.queue_capacity,
-                "admission": spec.admission,
-                "max_inflight": spec.max_inflight,
-                **self.queue.counters.to_dict(),
-            },
+            "queue": spec.queue_summary(self.queue.counters),
             **self.metrics.summary(now_us=now),
         }
 
@@ -651,7 +683,9 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "SUMMARY_SCHEMA",
     "TenantSpec",
+    "TenantStream",
     "ServingSpec",
+    "RequestLauncher",
     "ServingDriver",
     "ServingOutcome",
     "run_serving",

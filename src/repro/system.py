@@ -114,9 +114,10 @@ class GPUSystem:
         )
         self.processes: List[HostProcess] = []
         self._process_index: Dict[str, HostProcess] = {}
-        #: Open-loop driver, when one is attached (a
-        #: :class:`repro.serving.ServingDriver` or a fleet epoch run); its
-        #: ``observer`` slot is wired like any component's.
+        #: Open-loop request launcher, when one is attached (a
+        #: :class:`repro.serving.driver.RequestLauncher`, which the serving
+        #: driver and the fleet's epoch worker both use); its ``observer``
+        #: slot is wired like any component's.
         self.serving = None
         #: Minimum completed iterations per process before :meth:`run` with
         #: ``stop_after_min_iterations`` halts the simulation.

@@ -242,6 +242,56 @@ class WorkloadResult:
         return self.metrics.ntt_of(process)
 
 
+def _workload_result(
+    scenario: ScenarioSpec,
+    *,
+    trace_path: Optional[str],
+    metrics_path: Optional[str],
+    trace_events: Optional[Sequence],
+    metrics_rows: Optional[List[Dict]],
+    metrics_meta: Optional[Dict],
+    simulated_time_us: float,
+    **fields,
+) -> WorkloadResult:
+    """A finished run's :class:`WorkloadResult`, closed or open loop.
+
+    Writes the metrics JSONL series to ``metrics_path`` (when the run was
+    observed, ``metrics_rows`` not ``None``) and, for a traced run
+    (``trace_events`` not ``None``), the Chrome trace to ``trace_path``, and
+    summarises the trace.  ``fields`` are the remaining result fields.
+    """
+    if metrics_path is not None and metrics_rows is not None:
+        from repro.obs import write_jsonl  # local: keeps import cheap
+
+        write_jsonl(metrics_rows, metrics_path, meta=metrics_meta)
+    trace_summary = None
+    if trace_events is not None:
+        from repro.telemetry.analytics import summarize  # local: keeps import cheap
+        from repro.telemetry.export import write_chrome_trace
+
+        artifacts = []
+        if trace_path is not None:
+            write_chrome_trace(trace_events, trace_path, end_us=simulated_time_us)
+            artifacts.append(trace_path)
+        trace_summary = summarize(
+            trace_events, now_us=simulated_time_us, artifacts=artifacts
+        )
+    spec = WorkloadSpec(
+        applications=scenario.applications,
+        high_priority_index=scenario.high_priority_index,
+        workload_id=scenario.workload_id,
+    )
+    return WorkloadResult(
+        spec=spec,
+        policy=scenario.scheme.policy,
+        mechanism=scenario.scheme.mechanism,
+        process_applications=dict(zip(spec.process_names(), spec.applications)),
+        simulated_time_us=simulated_time_us,
+        trace_summary=trace_summary,
+        **fields,
+    )
+
+
 class WorkloadRunner:
     """Runs multiprogrammed workloads under a chosen policy and mechanism."""
 
@@ -380,51 +430,26 @@ class WorkloadRunner:
         )
         system.run(stop_after_min_iterations=iterations, max_events=max_events)
 
-        spec = WorkloadSpec(
-            applications=scenario.applications,
-            high_priority_index=scenario.high_priority_index,
-            workload_id=scenario.workload_id,
-        )
-        process_names = spec.process_names()
         process_times = system.mean_iteration_times_us()
-        process_applications = dict(zip(process_names, spec.applications))
         isolated = {
-            name: self.baseline.time_us(app) for name, app in process_applications.items()
+            name: self.baseline.time_us(app)
+            for name, app in zip(scenario.process_names(), scenario.applications)
         }
-        metrics = MultiprogramMetrics.compute(process_times, isolated)
-        if metrics_path is not None and system.metrics is not None:
-            from repro.obs import write_jsonl  # local: keeps import cheap
-
-            write_jsonl(system.metrics.rows, metrics_path, meta=system.metrics.meta)
-        trace_summary = None
-        if system.telemetry is not None:
-            from repro.telemetry.analytics import summarize  # local: keeps import cheap
-            from repro.telemetry.export import write_chrome_trace
-
-            artifacts = []
-            if trace_path is not None:
-                write_chrome_trace(
-                    system.telemetry.events, trace_path, end_us=system.simulator.now
-                )
-                artifacts.append(trace_path)
-            trace_summary = summarize(
-                system.telemetry.events,
-                now_us=system.simulator.now,
-                artifacts=artifacts,
-            )
-        return WorkloadResult(
-            spec=spec,
-            policy=scenario.scheme.policy,
-            mechanism=scenario.scheme.mechanism,
-            process_times_us=process_times,
-            process_applications=process_applications,
-            metrics=metrics,
-            engine_stats=system.execution_engine.utilization_snapshot(),
+        hub = system.metrics
+        return _workload_result(
+            scenario,
+            trace_path=trace_path,
+            metrics_path=metrics_path,
+            trace_events=None if system.telemetry is None else system.telemetry.events,
+            metrics_rows=None if hub is None else hub.rows,
+            metrics_meta=None if hub is None else hub.meta,
             simulated_time_us=system.simulator.now,
+            process_times_us=process_times,
+            metrics=MultiprogramMetrics.compute(process_times, isolated),
+            engine_stats=system.execution_engine.utilization_snapshot(),
             events_processed=system.simulator.events_processed,
             validated=system.validation is not None,
             violations=system.violations(),
-            trace_summary=trace_summary,
         )
 
     def _run_open_loop_scenario(
@@ -455,44 +480,19 @@ class WorkloadRunner:
 
             outcome = run_serving(scenario, config=self.config, suite=self.suite)
             engine_stats = outcome.engine_stats
-        if metrics_path is not None and outcome.metrics_rows is not None:
-            from repro.obs import write_jsonl  # local: keeps import cheap
-
-            write_jsonl(outcome.metrics_rows, metrics_path, meta=outcome.metrics_meta)
-        spec = WorkloadSpec(
-            applications=scenario.applications,
-            high_priority_index=scenario.high_priority_index,
-            workload_id=scenario.workload_id,
-        )
-        process_applications = dict(zip(spec.process_names(), spec.applications))
-        trace_summary = None
-        if scenario.trace:
-            from repro.telemetry.analytics import summarize  # local: keeps import cheap
-            from repro.telemetry.export import write_chrome_trace
-
-            artifacts = []
-            if trace_path is not None:
-                write_chrome_trace(
-                    outcome.trace_events, trace_path, end_us=outcome.simulated_time_us
-                )
-                artifacts.append(trace_path)
-            trace_summary = summarize(
-                outcome.trace_events,
-                now_us=outcome.simulated_time_us,
-                artifacts=artifacts,
-            )
-        return WorkloadResult(
-            spec=spec,
-            policy=scenario.scheme.policy,
-            mechanism=scenario.scheme.mechanism,
+        return _workload_result(
+            scenario,
+            trace_path=trace_path,
+            metrics_path=metrics_path,
+            trace_events=outcome.trace_events if scenario.trace else None,
+            metrics_rows=outcome.metrics_rows,
+            metrics_meta=outcome.metrics_meta,
+            simulated_time_us=outcome.simulated_time_us,
             process_times_us={},
-            process_applications=process_applications,
             metrics=MultiprogramMetrics(ntt={}, antt=0.0, stp=0.0, fairness=0.0),
             engine_stats=engine_stats,
-            simulated_time_us=outcome.simulated_time_us,
             events_processed=outcome.events_processed,
             validated=outcome.validated,
             violations=outcome.violations,
-            trace_summary=trace_summary,
             serving_summary=outcome.summary,
         )

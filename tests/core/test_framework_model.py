@@ -118,8 +118,10 @@ class _Model:
         return sequence[a % len(sequence)] if sequence else None
 
     def invalid_indices(self):
+        """Free in-range KSR indices, plus the two just out of range."""
         ksrt = self.framework.ksrt
-        return [i for i in range(ksrt.capacity) if not ksrt.is_valid(i)]
+        free = [i for i in range(ksrt.capacity) if not ksrt.is_valid(i)]
+        return [-1, *free, ksrt.capacity]
 
     def release_running_sms(self, entry):
         smst = self.framework.smst
@@ -209,10 +211,10 @@ class _Model:
         elif kind == "tick":
             # Zero steps are common, so activation times tie often.
             self.now += (0.0, 0.0, 0.5, 2.0)[a % 4]
-        elif kind == "bad_free" and self.invalid_indices():
+        elif kind == "bad_free":
             with pytest.raises(KeyError):
                 framework.ksrt.free(self.pick(self.invalid_indices(), a))
-        elif kind == "bad_setup" and self.invalid_indices() and sm_entry.is_idle:
+        elif kind == "bad_setup" and sm_entry.is_idle:
             with pytest.raises(KeyError):
                 framework.mark_sm_setup(sm_id, self.pick(self.invalid_indices(), b))
             assert sm_entry.is_idle and sm_entry.ksr_index is None

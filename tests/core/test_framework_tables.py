@@ -66,6 +66,20 @@ class TestKSRT:
         assert not ksrt.is_valid(5)
         assert not ksrt.is_valid(0)
 
+    def test_out_of_range_index_is_invalid_for_get_and_free(self):
+        ksrt = KernelStatusRegisterTable(3)
+        for launch_id in range(1, 4):
+            ksrt.allocate(make_launch(launch_id), activation_time_us=0.0)
+        for index in (-1, -3, 3, 7):
+            assert not ksrt.is_valid(index)
+            assert ksrt.find(index) is None
+            with pytest.raises(KeyError):
+                ksrt.get(index)
+            with pytest.raises(KeyError):
+                ksrt.free(index)
+        assert ksrt.occupancy == 3
+        assert [entry.valid for entry in ksrt.valid_entries()] == [True] * 3
+
     def test_token_count_initialised_from_launch(self):
         ksrt = KernelStatusRegisterTable(2)
         launch = make_launch(1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -17,8 +16,8 @@ from repro.obs import (
     render_prometheus,
     resolve_metrics_spec,
     write_jsonl,
+    write_prometheus,
 )
-from repro.registry import EXPORTERS
 from repro.scenario import ScenarioSpec, SchemeSpec
 
 
@@ -256,16 +255,18 @@ def test_dashboard_shows_changing_series_and_notes_truncation():
     assert render_dashboard([], meta=hub.meta) == "(no snapshot rows)\n"
 
 
-def test_exporter_registry_creates_all_builtins(tmp_path):
+def test_exporter_functions_write_all_three_formats(tmp_path):
     hub = _hub_with_rows()
-    jsonl = EXPORTERS.create("jsonl", path=str(tmp_path / "a.jsonl"))
-    prom = EXPORTERS.create("prom", path=str(tmp_path / "a.prom"))
-    stream = io.StringIO()
-    dash = EXPORTERS.create("dashboard", stream=stream)
-    assert jsonl.export(hub) == str(tmp_path / "a.jsonl")
-    assert prom.export(hub) == str(tmp_path / "a.prom")
-    text = dash.export(hub)
-    assert stream.getvalue() == text
+    jsonl = str(tmp_path / "a.jsonl")
+    prom = str(tmp_path / "a.prom")
+    assert write_jsonl(hub.rows, jsonl, meta=hub.meta) == jsonl
+    assert write_prometheus(hub.registry, prom, meta=hub.meta) == prom
+    with open(jsonl, encoding="utf-8") as handle:
+        assert handle.read() == render_jsonl(hub.rows, meta=hub.meta)
+    with open(prom, encoding="utf-8") as handle:
+        assert handle.read() == render_prometheus(hub.registry, meta=hub.meta)
+    text = render_dashboard(hub.rows, meta=hub.meta)
+    assert text == render_dashboard(hub.rows, meta=dict(hub.meta))
 
 
 # ----------------------------------------------------------------------
