@@ -3,8 +3,7 @@
 Runs the hybrid/adaptive controller comparison over the preemption_latency
 workload sources and asserts the headline tradeoff property: the hybrid
 controller's latency tail is bounded by static draining's while its ANTT
-overhead stays within static context switching's.  Rides the shared
-``BENCH_results.json`` emission like every other benchmark.
+overhead stays within static context switching's.
 """
 
 from __future__ import annotations

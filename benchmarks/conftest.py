@@ -10,27 +10,17 @@ The scale can be raised for higher-fidelity runs:
 
     pytest benchmarks/ --benchmark-only --repro-scale=reduced
 
-Every benchmark session additionally writes a machine-readable
-``BENCH_results.json`` (per-benchmark wall time, in seconds) so the
-repository's performance trajectory can be tracked commit over commit;
-set ``BENCH_RESULTS_PATH`` to redirect it.
+pytest-benchmark's own ``--benchmark-json PATH`` writes the per-benchmark
+timings as machine-readable JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import platform
-import time
-from typing import Dict
 
 import pytest
 
 from repro.experiments.base import ExperimentConfig
-from repro.utils.bench_results import merge_section
-
-#: Wall time (seconds) of every benchmark that ran in this session.
-_BENCH_TIMES: Dict[str, float] = {}
 
 
 def pytest_addoption(parser):
@@ -75,40 +65,3 @@ def experiment_config(request) -> ExperimentConfig:
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def pytest_runtest_logreport(report):
-    """Record the wall time of every passed benchmark call.
-
-    Guarded by node id: a session collecting ``benchmarks/`` alongside the
-    regular test suite loads this conftest for everything, but only the
-    benchmarks belong in the results file.
-    """
-    if report.when == "call" and report.passed and "benchmarks/" in report.nodeid:
-        _BENCH_TIMES[report.nodeid] = report.duration
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Emit ``BENCH_results.json`` with the per-benchmark wall times.
-
-    Only this harness's own section is replaced: other producers write into
-    the same file (``benchmarks/bench_scale.py`` merges its results under
-    ``scale_bench``), and their sections must survive a pytest run.
-    """
-    if not _BENCH_TIMES:
-        return
-    path = os.environ.get("BENCH_RESULTS_PATH", "BENCH_results.json")
-    payload = {
-        "schema": 1,
-        "unit": "seconds",
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "python": platform.python_version(),
-        "scale": session.config.getoption("--repro-scale"),
-        "jobs": session.config.getoption("--repro-jobs"),
-        "total_wall_time_s": round(sum(_BENCH_TIMES.values()), 4),
-        "benchmarks": {
-            nodeid: round(duration, 4)
-            for nodeid, duration in sorted(_BENCH_TIMES.items())
-        },
-    }
-    merge_section(path, "experiment_bench", payload)

@@ -18,7 +18,7 @@ cluster *only* at epoch boundaries:
    :func:`~repro.cluster.worker.execute_epoch` function, which launches
    through the serving driver's :class:`~repro.serving.driver.RequestLauncher`
    — serially, or sharded over :meth:`repro.runner.BatchRunner.map_tasks`.
-   Because the worker is a pure function of plain data, both paths are
+   Because the worker is a pure function of its payload, both paths are
    byte-identical.
 4. Completions fold into per-GPU and fleet-level
    :class:`~repro.serving.metrics.ServingMetrics` in a deterministic merge
@@ -31,7 +31,7 @@ with a ``cluster=`` section here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.routing import GPUView
@@ -98,6 +98,10 @@ class GPUFleet:
 
         self.scenario = scenario
         self.spec = ServingSpec.from_scenario(scenario)
+        #: What every member GPU runs: fleet metrics are sampled centrally at
+        #: epoch bounds (below), so members run without a hub.  Built once and
+        #: shipped with every epoch batch, together with ``spec``.
+        self._member_scenario = replace(scenario, metrics=None)
         self.cluster = ClusterSpec.from_scenario(scenario)
         self.router = self.cluster.build_router()
         self.runner = runner
@@ -215,7 +219,8 @@ class GPUFleet:
         batches = self._route_epoch()
         payloads = [
             make_epoch_payload(
-                self.scenario,
+                self._member_scenario,
+                self.spec,
                 gpu_id=member.view.gpu_id,
                 clock_us=member.view.clock_us,
                 launches=member.launches,

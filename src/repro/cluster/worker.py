@@ -1,8 +1,10 @@
 """The fleet worker: run one GPU's epoch batch to idle, as a pure function.
 
 :func:`execute_epoch` is the unit of work the fleet shards over
-:meth:`repro.runner.BatchRunner.map_tasks`.  Its payload and result are
-plain JSON-serialisable data, and the function is deterministic, so serial
+:meth:`repro.runner.BatchRunner.map_tasks`.  Its payload is picklable (the
+member scenario and its parsed :class:`~repro.serving.driver.ServingSpec`,
+which the fleet builds once, plus plain data), its result is plain
+JSON-serialisable data, and the function is deterministic, so serial
 execution and process-pool execution produce *identical* results — the
 fleet's byte-identity guarantee reduces to calling the same function on the
 same payloads.
@@ -31,15 +33,22 @@ from repro.system import GPUSystem
 
 def make_epoch_payload(
     scenario: ScenarioSpec,
+    spec: ServingSpec,
     *,
     gpu_id: int,
     clock_us: float,
     launches: int,
     batch: List[Dict[str, Any]],
 ) -> Dict[str, Any]:
-    """Assemble one :func:`execute_epoch` payload (plain data only)."""
+    """Assemble one :func:`execute_epoch` payload.
+
+    ``scenario`` is what a member GPU runs and ``spec`` its parsed serving
+    spec; every batch carries the same two objects, so no epoch re-parses
+    the scenario.
+    """
     return {
-        "scenario": scenario.to_dict(),
+        "scenario": scenario,
+        "spec": spec,
         "gpu_id": gpu_id,
         "clock_us": clock_us,
         "launches": launches,
@@ -51,10 +60,7 @@ class _EpochRun:
     """Drives one epoch batch on one rebuilt GPU system."""
 
     def __init__(self, payload: Dict[str, Any]):
-        # Fleet metrics are sampled centrally at epoch bounds (see
-        # ``GPUFleet``), so member systems run without a hub.
-        scenario = ScenarioSpec.from_dict({**payload["scenario"], "metrics": None})
-        self.scenario = scenario
+        self.scenario = scenario = payload["scenario"]
         self.gpu_id = int(payload["gpu_id"])
         # The runner caches the scaled config and the suite per process:
         # rebuilding the suite per epoch would swamp the simulation work.
@@ -74,7 +80,7 @@ class _EpochRun:
         queue = IngressQueue(capacity=max(1, len(self._batch)), admission="block")
         self.launcher = RequestLauncher(
             self.system,
-            ServingSpec.from_scenario(scenario),
+            payload["spec"],
             runner.suite,
             queue,
             self._on_complete,

@@ -12,8 +12,8 @@ the number is comparable across engine versions)::
 
 Composes with ``--validate`` / ``--trace`` like every other experiment; the
 wall-clock columns are machine-dependent by nature (everything else is
-deterministic).  ``benchmarks/bench_scale.py`` wraps the same family for the
-repository's tracked performance trajectory.
+deterministic).  The repository benchmark (``perfbench/``) times the same
+family in its ``closed_128sm`` and ``closed_64sm_observed`` workloads.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def block_equivalent_events(events_processed: int, engine_stats) -> int:
     replaces the fired block-carrying events (``block_completion_events``)
     with the block completions they represent (``blocks_executed``) —
     exactly the event count a per-block engine would have processed.  The
-    single definition of the benchmark metric: the scale experiment,
-    ``benchmarks/bench_scale.py`` and the equivalence tests all call it.
+    single definition of the metric: the scale experiment, the repository
+    benchmark (``perfbench/``) and the equivalence tests all call it.
     """
     return int(
         events_processed

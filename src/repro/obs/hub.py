@@ -35,6 +35,7 @@ import re
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.obs.metrics import MetricsRegistry
+from repro.utils import restored_count
 
 #: Default snapshot cadence (µs of simulation time).
 DEFAULT_INTERVAL_US = 1000.0
@@ -193,12 +194,30 @@ class MetricsHub:
         }
 
     def restore(self, state: Mapping[str, Any]) -> None:
-        """Resume from :meth:`state` output (merging into existing metrics)."""
-        self.interval_us = float(state["interval_us"])
-        self._next_due = float(state["next_due_us"])
-        self.event_counts = dict(state["event_counts"])
+        """Resume from :meth:`state` output (merging into existing metrics).
+
+        A field that cannot continue the run raises a :class:`ValueError`
+        naming it: a snapshot cadence other than this hub's, a boundary that
+        is not a finite number, a negative event count, or rows that are not
+        a list of ``{"t_us": number, ...}`` mappings.
+        """
+        if state["interval_us"] != self.interval_us:
+            raise ValueError(
+                f"interval_us must be this run's {self.interval_us}, not {state['interval_us']!r}"
+            )
+        next_due = state["next_due_us"]
+        if type(next_due) not in (int, float) or not math.isfinite(next_due):
+            raise ValueError(f"next_due_us must be a finite number, not {next_due!r}")
+        counts = state["event_counts"]
+        rows = state["rows"]
+        if not isinstance(rows, list) or not all(
+            isinstance(row, Mapping) and type(row.get("t_us")) in (int, float) for row in rows
+        ):
+            raise ValueError(f"rows must be a list of snapshot rows, not {rows!r}")
+        self._next_due = float(next_due)
+        self.event_counts = {kind: restored_count(counts, kind) for kind in counts}
         self.registry.restore(state["registry"])
-        self.rows = [dict(row) for row in state["rows"]]
+        self.rows = [dict(row) for row in rows]
 
 
 __all__ = [

@@ -21,6 +21,8 @@ import math
 
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
+from repro.utils import restored_count
+
 
 class MetricTypeError(TypeError):
     """Raised when a registry name is reused with a different metric type."""
@@ -198,13 +200,26 @@ class LogHistogram:
         }
 
     def restore(self, state: Mapping[str, Any]) -> None:
-        self.growth = float(state["growth"])
-        self.count = state["count"]
+        """Resume from :meth:`state` output; a growth of at most 1 or counts
+        that are negative or do not add up raise a :class:`ValueError`."""
+        growth = float(state["growth"])
+        if not growth > 1.0:
+            raise ValueError(f"histogram {self.name!r} growth must be > 1, not {growth!r}")
+        count = restored_count(state, "count")
+        zero_count = restored_count(state, "zero_count")
+        buckets = state["buckets"]
+        buckets = {int(index): restored_count(buckets, index) for index in buckets}
+        if count != zero_count + sum(buckets.values()):
+            raise ValueError(
+                f"histogram {self.name!r} count {count} is not zero_count plus the bucket counts"
+            )
+        self.growth = growth
+        self.count = count
         self.total = state["total"]
-        self.zero_count = state["zero_count"]
+        self.zero_count = zero_count
         self.min_value = state["min_value"]
         self.max_value = state["max_value"]
-        self._buckets = {int(index): count for index, count in state["buckets"].items()}
+        self._buckets = buckets
 
     def snapshot_items(self) -> Iterable[Tuple[str, float]]:
         yield f"{self.name}.count", self.count

@@ -30,7 +30,7 @@ import math
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.registry import ARRIVALS, register_arrival
-from repro.serving.metrics import restored_count
+from repro.utils import restored_count
 from repro.utils.determinism import hash_uniform
 
 #: Namespace component so arrival draws never collide with other users of

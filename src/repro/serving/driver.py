@@ -474,7 +474,7 @@ class ServingDriver:
             )
 
             if state is not None and "obs" in state:
-                hub.restore(state["obs"])
+                _restored("obs", hub.restore, state["obs"])
             attach_serving_metrics(hub, self)
             if resolve_metrics_spec(scenario.metrics)["heartbeat"]:
                 self.health = HealthReporter(horizon_us=self.spec.horizon_us)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.utils import restored_count
 from repro.utils.determinism import hash_uniform
 
 _NS = "repro.serving.metrics"
@@ -41,16 +42,6 @@ MIN_SERVICE_US = 1e-3
 
 def _round3(value: float) -> float:
     return round(value, 3)
-
-
-def restored_count(state: Mapping[str, Any], key: str) -> int:
-    """``state[key]`` as a restored cursor or count: an ``int`` (not a
-    ``bool``) that is at least 0; anything else raises a :class:`ValueError`
-    naming ``key``."""
-    value = state[key]
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{key} must be a non-negative integer, not {value!r}")
-    return value
 
 
 def _restored_floats(values: Any, name: str, size: int) -> List[float]:

@@ -28,7 +28,8 @@ for throughput while keeping the observable contract bit-for-bit stable:
   bounded.
 * :attr:`pending_events` is an exact O(1) live counter and
   :attr:`peak_heap_entries` records the high-water mark of the heap
-  (``benchmarks/bench_scale.py`` reports it as the peak queue size).
+  (the repository benchmark, ``perfbench/``, reports it as
+  ``sim.peak_queue``).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@
   priorities, process counts) derived from a single integer seed.
 * :mod:`repro.workloads.large_gpu` — the modern-scale scenario family:
   8/32/128-SM GPUs with proportionally grown synthetic workloads, used by
-  the ``scale`` experiment and ``benchmarks/bench_scale.py``.
+  the ``scale`` experiment and the ``perfbench/`` closed loops.
 """
 
 from repro.workloads.large_gpu import (

@@ -17,8 +17,9 @@ Scenarios are plain :class:`~repro.scenario.ScenarioSpec` values built on
 top of the synthetic fuzzer, so they serialise, fan out through
 :class:`~repro.runner.BatchRunner` workers, and compose with ``validate=``
 / ``trace=`` like every other scenario.  The ``scale`` experiment
-(:mod:`repro.experiments.scale`) and ``benchmarks/bench_scale.py`` both run
-this family.
+(:mod:`repro.experiments.scale`) and the repository benchmark's closed loops
+(``perfbench/``: ``closed_128sm``, ``closed_64sm_observed``) both run this
+family.
 """
 
 from __future__ import annotations

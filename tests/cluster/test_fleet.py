@@ -8,7 +8,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, run_fleet
 from repro.registry import UnknownComponentError
-from repro.runner import execute_scenario
+from repro.runner import BatchRunner, execute_scenario
 from repro.scenario import ScenarioSpec, SchemeSpec
 
 
@@ -21,6 +21,7 @@ def fleet_scenario(
     trace: bool = False,
     validate: bool = False,
     horizon_us: float = 24_000.0,
+    metrics: dict | None = None,
 ) -> ScenarioSpec:
     return ScenarioSpec(
         scheme=SchemeSpec(policy="fcfs"),
@@ -29,6 +30,7 @@ def fleet_scenario(
         scale="smoke",
         trace=trace,
         validate=validate,
+        metrics=metrics,
         arrivals={
             "horizon_us": horizon_us,
             "warmup_us": horizon_us / 8.0,
@@ -204,3 +206,25 @@ def test_fleet_scenario_runs_through_the_workload_runner():
     assert record.result.process_times_us == {}
     assert record.result.events_processed > 0
     assert json.loads(record.to_json())["serving"]["router"] == "least_loaded"
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_fleet_epochs_never_reparse_the_scenario(monkeypatch, jobs):
+    """The fleet parses its scenario once; epoch batches carry the parsed
+    specs.  Worker processes fork after the patch, so a sharded batch that
+    re-parsed would raise in its worker and fail the run."""
+    expected = run_fleet(fleet_scenario(metrics={"interval_us": 2_000.0}))
+
+    def from_dict(cls, payload):
+        raise AssertionError("ScenarioSpec.from_dict called during a fleet run")
+
+    monkeypatch.setattr(ScenarioSpec, "from_dict", classmethod(from_dict))
+    scenario = fleet_scenario(metrics={"interval_us": 2_000.0})
+    if jobs is None:
+        outcome = run_fleet(scenario)
+    else:
+        with BatchRunner(jobs=jobs) as runner:
+            outcome = run_fleet(scenario, runner=runner)
+    assert outcome.epochs == 6
+    assert outcome.summary == expected.summary
+    assert outcome.metrics_rows == expected.metrics_rows

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import math
+import re
 
 import pytest
 
@@ -293,6 +296,62 @@ def test_serving_checkpoint_without_metrics_has_no_obs_key():
     driver = ServingDriver(make_serving_scenario(metrics=None))
     driver.run(quiesce_at_us=8_000.0)
     assert "obs" not in driver.checkpoint()
+
+
+#: One-field edits of the metrics-on 8 ms checkpoint, each with the word its
+#: error names.  Each once resumed: a negative cadence cut 237 rows instead
+#: of 17 and another cadence than the scenario's moved the row grid, a zero
+#: cadence or unit growth died mid-run with a bare ZeroDivisionError, a
+#: non-mapping section or row list raised a bare TypeError, and the rest
+#: resumed silently.
+MALFORMED_OBS = {
+    "negative interval": (lambda s: s["obs"].update(interval_us=-1_000.0), "interval_us"),
+    "zero interval": (lambda s: s["obs"].update(interval_us=0), "interval_us"),
+    "other interval": (lambda s: s["obs"].update(interval_us=500.0), "interval_us"),
+    "list section": (lambda s: s.update(obs=[]), "obs"),
+    "scalar rows": (lambda s: s["obs"].update(rows=5), "rows"),
+    "unit histogram growth": (
+        lambda s: s["obs"]["registry"]["engine.wave_size"].update(growth=1.0), "growth"
+    ),
+    "negative histogram count": (
+        lambda s: s["obs"]["registry"]["engine.wave_size"].update(count=-3), "count"
+    ),
+    "histogram count past its buckets": (
+        lambda s: s["obs"]["registry"]["engine.wave_size"].update(count=72), "count"
+    ),
+    "nan boundary": (lambda s: s["obs"].update(next_due_us=math.nan), "next_due_us"),
+    "negative event count": (
+        lambda s: s["obs"]["event_counts"].update({"serving.quiesce": -3}), "serving.quiesce"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def observed_checkpoint_at_8ms():
+    from repro.serving.driver import ServingDriver
+
+    driver = ServingDriver(make_serving_scenario(metrics={"interval_us": 1_000.0}))
+    driver.run(quiesce_at_us=8_000.0)
+    return json.loads(json.dumps(driver.checkpoint()))
+
+
+def test_well_formed_observed_checkpoint_resumes(observed_checkpoint_at_8ms):
+    from repro.serving.driver import ServingDriver
+
+    scenario = make_serving_scenario(metrics={"interval_us": 1_000.0})
+    resumed = ServingDriver(scenario, checkpoint=copy.deepcopy(observed_checkpoint_at_8ms))
+    assert len(resumed.run().system.metrics.rows) == 17
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED_OBS))
+def test_malformed_obs_checkpoint_is_rejected(observed_checkpoint_at_8ms, edit):
+    from repro.serving.driver import ServingDriver
+
+    mutate, names = MALFORMED_OBS[edit]
+    state = copy.deepcopy(observed_checkpoint_at_8ms)
+    mutate(state)
+    with pytest.raises(ValueError, match=re.escape(names)):
+        ServingDriver(make_serving_scenario(metrics={"interval_us": 1_000.0}), checkpoint=state)
 
 
 def test_split_serving_run_produces_identical_serving_metrics_rows():

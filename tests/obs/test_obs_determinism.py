@@ -18,6 +18,8 @@ import pytest
 from repro.runner import BatchRunner, execute_scenario
 from repro.scenario import SchemeSpec
 from repro.serving.driver import run_serving
+from repro.system import GPUSystem
+from repro.workloads.large_gpu import generate_large_gpu_scenario
 from repro.workloads.synthetic import (
     generate_synthetic_scenario,
     generate_synthetic_scenarios,
@@ -95,6 +97,34 @@ def test_fuzzed_serving_runs_identical_with_metrics(seed):
         plain.summary, sort_keys=True
     )
     assert observed.events_processed == plain.events_processed
+
+
+def _large_gpu_run(num_sms, metrics):
+    """One ``large_gpu`` preset run: (system, what it simulated)."""
+    scenario = generate_large_gpu_scenario(num_sms, metrics=metrics)
+    system = GPUSystem.from_scenario(scenario)
+    system.run(
+        stop_after_min_iterations=scenario.resolved_min_iterations(),
+        max_events=scenario.resolved_max_events(),
+    )
+    stats = system.execution_engine.utilization_snapshot()
+    return system, {
+        "events_processed": system.simulator.events_processed,
+        "block_completion_events": stats["block_completion_events"],
+        "makespan_us": system.simulator.now,
+        "iteration_times_us": system.iteration_times_us(),
+    }
+
+
+@pytest.mark.parametrize("num_sms, events", [(8, 345), (32, 644)])
+def test_large_gpu_presets_identical_with_metrics(num_sms, events):
+    """The wave-batched presets fire the same events, waves and iterations
+    with the hub probing every event (rows every 100 simulated µs)."""
+    _, plain = _large_gpu_run(num_sms, None)
+    observed_system, observed = _large_gpu_run(num_sms, {"interval_us": 100.0})
+    assert observed == plain
+    assert plain["events_processed"] == events
+    assert len(observed_system.metrics.rows) > 1
 
 
 def test_serial_and_parallel_metrics_artifacts_identical(tmp_path):
