@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 from conftest import run_once
 
-from repro.experiments import figure5, figure6, priority_data
+from repro.experiments import figure5, figure6, figure_data
 
 
 @pytest.fixture(scope="module")
@@ -19,10 +19,7 @@ def module_cache():
 
 
 def test_figure5(benchmark, experiment_config, module_cache):
-    data = run_once(
-        benchmark, priority_data.collect, experiment_config,
-        schemes=tuple(priority_data.PRIORITY_SCHEMES),
-    )
+    data = run_once(benchmark, figure_data.collect, "priority", experiment_config)
     module_cache["data"] = data
     result = figure5.run(experiment_config, data=data)
     averages = [row for row in result.row_dicts() if row["Group"] == "AVERAGE"]
@@ -37,7 +34,7 @@ def test_figure5(benchmark, experiment_config, module_cache):
 def test_figure6(benchmark, experiment_config, module_cache):
     data = module_cache.get("data")
     if data is None:
-        data = priority_data.collect(experiment_config)
+        data = figure_data.collect("priority", experiment_config)
 
     result = run_once(benchmark, figure6.run, experiment_config, data=data)
     rows = result.row_dicts()

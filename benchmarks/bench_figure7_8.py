@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from conftest import run_once
 
-from repro.experiments import dss_data, figure7, figure8
+from repro.experiments import figure7, figure8, figure_data
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +14,7 @@ def module_cache():
 
 
 def test_figure7(benchmark, experiment_config, module_cache):
-    data = run_once(benchmark, dss_data.collect, experiment_config)
+    data = run_once(benchmark, figure_data.collect, "dss", experiment_config)
     module_cache["data"] = data
     result = figure7.run(experiment_config, data=data)
     rows = result.row_dicts()
@@ -34,7 +34,7 @@ def test_figure7(benchmark, experiment_config, module_cache):
 def test_figure8(benchmark, experiment_config, module_cache):
     data = module_cache.get("data")
     if data is None:
-        data = dss_data.collect(experiment_config)
+        data = figure_data.collect("dss", experiment_config)
     result = run_once(benchmark, figure8.run, experiment_config, data=data)
     curves = result.series["curves"]
     for count in experiment_config.process_counts:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import os
 
-from repro.experiments import dss_data, figure5, figure7, priority_data, table1, table2
+from repro.experiments import figure5, figure7, figure_data, table1, table2
 from repro.experiments.base import ExperimentConfig
 
 
@@ -35,12 +35,14 @@ def main() -> None:
     print()
 
     print("Simulating priority workloads (Figure 5)...")
-    priority_cache = priority_data.collect(config, schemes=priority_data.FIGURE5_SCHEMES)
+    priority_cache = figure_data.collect(
+        "priority", config, schemes=figure_data.FIGURE5_SCHEMES
+    )
     print(figure5.run(config, data=priority_cache).format())
     print()
 
     print("Simulating equal-sharing workloads (Figure 7)...")
-    dss_cache = dss_data.collect(config)
+    dss_cache = figure_data.collect("dss", config)
     print(figure7.run(config, data=dss_cache).format())
 
 

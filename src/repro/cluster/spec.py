@@ -23,6 +23,7 @@ from typing import Any, Dict
 
 from repro.registry import ROUTERS
 from repro.scenario import ScenarioSpec
+from repro.utils import checked_duration, checked_int
 
 #: Keys accepted in ``ScenarioSpec.cluster`` (everything else is rejected,
 #: mirroring the arrivals/scenario loaders' unknown-key policy).
@@ -62,19 +63,13 @@ class ClusterSpec:
                 f"unknown cluster keys: {sorted(unknown)} "
                 f"(accepted: {sorted(_CLUSTER_KEYS)})"
             )
-        num_gpus = int(cluster.get("num_gpus", 1))
-        if num_gpus < 1:
-            raise ValueError("num_gpus must be at least 1")
         router = ROUTERS.canonical_name(str(cluster.get("router", "round_robin")))
-        horizon_us = float(scenario.arrivals["horizon_us"])
-        epoch_us = float(cluster.get("epoch_us", horizon_us / 8.0))
-        if epoch_us <= 0:
-            raise ValueError("epoch_us must be positive")
+        horizon_us = checked_duration(scenario.arrivals.get("horizon_us"), "horizon_us")
         return cls(
-            num_gpus=num_gpus,
+            num_gpus=checked_int(cluster.get("num_gpus", 1), "num_gpus", 1),
             router=router,
             router_options=dict(cluster.get("router_options", {})),
-            epoch_us=epoch_us,
+            epoch_us=checked_duration(cluster.get("epoch_us", horizon_us / 8.0), "epoch_us"),
         )
 
     def build_router(self):

@@ -18,6 +18,13 @@ rows/series the paper reports:
   tradeoff as a preemption-*controller* comparison (static endpoints vs
   hybrid/adaptive per-request selection).
 
+Figures 5 and 6 read the priority grid and Figures 7 and 8 the DSS grid of
+:mod:`repro.experiments.figure_data`, which collects each grid once for the
+figures that share it.  An experiment adds its scenario runs to its
+result's instrumentation totals with :meth:`ExperimentResult.count_runs`;
+``figure2`` and ``fleet``, whose runs are not workload results, count their
+own.
+
 ``repro-experiments`` (see :mod:`repro.experiments.cli`) runs them from the
 command line; ``benchmarks/`` wraps each one in pytest-benchmark.
 """

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.gpu.config import SystemConfig
 from repro.utils.tables import format_table
-from repro.workloads.multiprogram import WorkloadRunner
+from repro.workloads.multiprogram import WorkloadResult
 from repro.workloads.scale import WorkloadScale
 
 
@@ -57,10 +56,6 @@ class ExperimentConfig:
     def workload_scale(self) -> WorkloadScale:
         """The resolved workload scale preset."""
         return WorkloadScale.by_name(self.scale)
-
-    def make_runner(self, config: Optional[SystemConfig] = None) -> WorkloadRunner:
-        """Create a workload runner at this experiment's scale."""
-        return WorkloadRunner(scale=self.workload_scale(), config=config)
 
     def make_batch_runner(self) -> "BatchRunner":
         """Create a batch runner honouring ``jobs`` (and artifact dirs)."""
@@ -132,11 +127,19 @@ class ExperimentResult:
     #: rendered output.
     traced_run_count: int = 0
     trace_event_count: int = 0
-    #: Simulator events processed across the experiment's own scenario runs
-    #: (populated by record-based experiments; the CLI's ``--profile`` flag
-    #: aggregates it together with the shared figure caches).  Kept out of
+    #: Simulator events processed across the experiment's simulated runs
+    #: (summed by the CLI's ``--profile`` flag).  Kept out of
     #: :meth:`format`/:meth:`to_dict` like the other instrumentation totals.
     events_processed: int = 0
+
+    def count_runs(self, runs: Iterable[WorkloadResult]) -> None:
+        """Add simulated runs to the four instrumentation totals above."""
+        for run in runs:
+            self.violation_count += len(run.violations)
+            self.events_processed += run.events_processed
+            if run.trace_summary is not None:
+                self.traced_run_count += 1
+                self.trace_event_count += run.trace_summary["events_total"]
 
     def format(self) -> str:
         """Render the result as an aligned plain-text table."""

@@ -33,7 +33,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments import dss_data, priority_data
+from repro.experiments import figure_data
 from repro.experiments import figure2, figure5, figure6, figure7, figure8, table1, table2
 from repro.experiments import preemption_latency, synthetic
 from repro.experiments import mechanism_choice
@@ -53,8 +53,8 @@ from repro.registry import (
     TRANSFER_POLICIES,
 )
 
-#: Experiment name -> runner.  Runners that share simulation data accept it
-#: through keyword arguments; the CLI wires that up in :func:`run_selected`.
+#: Experiment name -> runner.  The figures of :data:`FIGURE_GRIDS` also accept
+#: their grid's shared data as ``data=``; :func:`run_selected` passes it.
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "table1": table1.run,
     "table2": table2.run,
@@ -71,6 +71,16 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fleet": fleet_experiment.run,
     "slo_preemption": slo_preemption.run,
     "trace_serving": trace_serving_experiment.run,
+}
+
+
+#: Figure -> the shared grid it reads (see :mod:`repro.experiments.figure_data`)
+#: and the schemes it needs from that grid.
+FIGURE_GRIDS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "figure5": ("priority", figure_data.FIGURE5_SCHEMES),
+    "figure6": ("priority", figure_data.GRIDS["priority"]),
+    "figure7": ("dss", figure_data.GRIDS["dss"]),
+    "figure8": ("dss", figure_data.GRIDS["dss"]),
 }
 
 
@@ -234,94 +244,67 @@ def run_selected(
 ) -> Tuple[List[ExperimentResult], int, Tuple[int, int], int]:
     """Run the selected experiments, sharing simulation data where possible.
 
+    Figures 5-8 read one of two shared grids (:data:`FIGURE_GRIDS`).  Each
+    grid is collected once, on the first figure that reads it, with every
+    scheme the selected figures need, and its runs are counted into that
+    figure's result.  The totals below are then sums over the results alone.
+
     Returns the results, the total number of invariant violations detected
     across every simulated run (always 0 unless ``config.validate`` attached
     the checkers — and 0 then too, for a correct simulator), the
     ``(traced runs, trace events)`` telemetry totals (non-zero only with
     ``config.trace`` or trace-driven experiments like ``preemption_latency``),
-    and the total simulator events processed across the instrumented scenario
-    runs (the shared figure caches plus record-based experiments; consumed by
-    ``--profile``).
+    and the total simulator events processed across the counted runs
+    (consumed by ``--profile``).
 
     ``profiler`` (a :class:`repro.obs.PhaseProfiler`) records one phase per
-    experiment and per shared data collection; each phase carries the
-    simulator events it processed, so serving and fleet runs show up with
-    real event counts, not zeros.
+    experiment and per grid collection (``priority_data``, ``dss_data``);
+    each phase carries the simulator events it processed, so serving and
+    fleet runs show up with real event counts, not zeros.
     """
     if profiler is None:
         from repro.obs import PhaseProfiler  # local: keeps import cheap
 
         profiler = PhaseProfiler()
+    needed: Dict[str, set] = {}
+    for name in names:
+        if name in FIGURE_GRIDS:
+            grid, schemes = FIGURE_GRIDS[name]
+            needed.setdefault(grid, set()).update(schemes)
+    grids: Dict[str, figure_data.FigureData] = {}
     results: List[ExperimentResult] = []
-    priority_cache = None
-    dss_cache = None
-
-    def _cache_events(cache) -> int:
-        return sum(r.events_processed for r in cache.results.values())
-
     for name in names:
         started = time.time()
-        if name == "figure5":
-            if priority_cache is None:
-                schemes = (
-                    tuple(priority_data.PRIORITY_SCHEMES)
-                    if "figure6" in names
-                    else priority_data.FIGURE5_SCHEMES
-                )
-                with profiler.phase("priority_data") as record:
-                    priority_cache = priority_data.collect(config, schemes=schemes)
-                    record.events = _cache_events(priority_cache)
+        if name in FIGURE_GRIDS:
+            grid = FIGURE_GRIDS[name][0]
+            collected = grid not in grids
+            if collected:
+                schemes = [s for s in figure_data.GRIDS[grid] if s in needed[grid]]
+                with profiler.phase(f"{grid}_data") as record:
+                    grids[grid] = figure_data.collect(grid, config, schemes=schemes)
+                    record.events = sum(
+                        run.events_processed for run in grids[grid].results.values()
+                    )
+            data = grids[grid]
             with profiler.phase(name):
-                result = figure5.run(config, data=priority_cache)
-        elif name == "figure6":
-            if priority_cache is None:
-                with profiler.phase("priority_data") as record:
-                    priority_cache = priority_data.collect(config)
-                    record.events = _cache_events(priority_cache)
-            with profiler.phase(name):
-                result = figure6.run(config, data=priority_cache)
-        elif name == "figure7":
-            if dss_cache is None:
-                with profiler.phase("dss_data") as record:
-                    dss_cache = dss_data.collect(config)
-                    record.events = _cache_events(dss_cache)
-            with profiler.phase(name):
-                result = figure7.run(config, data=dss_cache)
-        elif name == "figure8":
-            if dss_cache is None:
-                with profiler.phase("dss_data") as record:
-                    dss_cache = dss_data.collect(config)
-                    record.events = _cache_events(dss_cache)
-            with profiler.phase(name):
-                result = figure8.run(config, data=dss_cache)
+                result = EXPERIMENTS[name](config, data=data)
+            if collected:
+                result.count_runs(data.results.values())
         else:
             with profiler.phase(name) as record:
                 result = EXPERIMENTS[name](config)
                 record.events = result.events_processed
         result.notes.append(f"Wall-clock time: {time.time() - started:.1f} s")
         results.append(result)
-    # Violations and trace totals live in three places: the shared figure
-    # caches (figures 5-8), and per-result counts (synthetic, figure2,
-    # preemption_latency).
-    cached_results = [
-        workload_result
-        for cache in (priority_cache, dss_cache)
-        if cache is not None
-        for workload_result in cache.results.values()
-    ]
-    violation_total = sum(len(r.violations) for r in cached_results)
-    violation_total += sum(result.violation_count for result in results)
-    traced_runs = sum(1 for r in cached_results if r.trace_summary is not None)
-    traced_runs += sum(result.traced_run_count for result in results)
-    trace_events = sum(
-        r.trace_summary["events_total"]
-        for r in cached_results
-        if r.trace_summary is not None
+    return (
+        results,
+        sum(result.violation_count for result in results),
+        (
+            sum(result.traced_run_count for result in results),
+            sum(result.trace_event_count for result in results),
+        ),
+        sum(result.events_processed for result in results),
     )
-    trace_events += sum(result.trace_event_count for result in results)
-    events_total = sum(r.events_processed for r in cached_results)
-    events_total += sum(result.events_processed for result in results)
-    return results, violation_total, (traced_runs, trace_events), events_total
 
 
 def format_listing() -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.experiments.base import ExperimentConfig, ExperimentResult, geometric_mean
-from repro.experiments.priority_data import FIGURE5_SCHEMES, PriorityExperimentData, collect
+from repro.experiments.figure_data import FIGURE5_SCHEMES, FigureData, collect
 from repro.workloads.parboil import CLASS1
 
 GROUPS = ("LONG", "MEDIUM", "SHORT", "AVERAGE")
@@ -27,12 +27,12 @@ _IMPROVEMENT_SCHEMES = ("npq", "ppq_cs", "ppq_drain")
 def run(
     config: Optional[ExperimentConfig] = None,
     *,
-    data: Optional[PriorityExperimentData] = None,
+    data: Optional[FigureData] = None,
 ) -> ExperimentResult:
     """Regenerate Figure 5."""
     config = config if config is not None else ExperimentConfig()
     if data is None:
-        data = collect(config, schemes=FIGURE5_SCHEMES)
+        data = collect("priority", config, schemes=FIGURE5_SCHEMES)
 
     result = ExperimentResult(
         name="Figure 5",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.experiments.base import ExperimentConfig, ExperimentResult, geometric_mean
-from repro.experiments.priority_data import PriorityExperimentData, collect
+from repro.experiments.figure_data import FigureData, collect
 
 _VARIANTS = {
     "exclusive (Fig. 6a)": ("ppq_cs", "ppq_drain"),
@@ -29,12 +29,12 @@ _VARIANTS = {
 def run(
     config: Optional[ExperimentConfig] = None,
     *,
-    data: Optional[PriorityExperimentData] = None,
+    data: Optional[FigureData] = None,
 ) -> ExperimentResult:
     """Regenerate Figure 6 (both panels)."""
     config = config if config is not None else ExperimentConfig()
     if data is None:
-        data = collect(config)
+        data = collect("priority", config)
 
     result = ExperimentResult(
         name="Figure 6",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.experiments.base import ExperimentConfig, ExperimentResult, geometric_mean
-from repro.experiments.dss_data import DSSExperimentData, collect
+from repro.experiments.figure_data import FigureData, collect
 from repro.workloads.parboil import CLASS2
 
 GROUPS = ("SHORT", "MEDIUM", "LONG", "AVERAGE")
@@ -30,12 +30,12 @@ _DSS_SCHEMES = ("dss_cs", "dss_drain")
 def run(
     config: Optional[ExperimentConfig] = None,
     *,
-    data: Optional[DSSExperimentData] = None,
+    data: Optional[FigureData] = None,
 ) -> ExperimentResult:
     """Regenerate Figure 7 (all three panels as one table)."""
     config = config if config is not None else ExperimentConfig()
     if data is None:
-        data = collect(config)
+        data = collect("dss", config)
 
     result = ExperimentResult(
         name="Figure 7",

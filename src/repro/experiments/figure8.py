@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.experiments.base import ExperimentConfig, ExperimentResult
-from repro.experiments.dss_data import DSSExperimentData, collect
+from repro.experiments.figure_data import FigureData, collect
 
 _SCHEMES = ("fcfs", "dss_cs", "dss_drain")
 _LABELS = {"fcfs": "FCFS", "dss_cs": "DSS context switch", "dss_drain": "DSS draining"}
@@ -25,12 +25,12 @@ _LABELS = {"fcfs": "FCFS", "dss_cs": "DSS context switch", "dss_drain": "DSS dra
 def run(
     config: Optional[ExperimentConfig] = None,
     *,
-    data: Optional[DSSExperimentData] = None,
+    data: Optional[FigureData] = None,
 ) -> ExperimentResult:
     """Regenerate Figure 8 (sorted per-workload ANTT series)."""
     config = config if config is not None else ExperimentConfig()
     if data is None:
-        data = collect(config)
+        data = collect("dss", config)
 
     result = ExperimentResult(
         name="Figure 8",

@@ -16,11 +16,12 @@ byte-identical to the serial run.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import dataclasses
+from typing import Optional
 
 from repro.cluster import run_fleet
 from repro.experiments.base import ExperimentConfig, ExperimentResult
-from repro.experiments.serving import LOAD_LEVELS, SERVING_SCHEME, SLO_BUDGET_US
+from repro.experiments.serving import _latency_cells, serving_scenario
 from repro.runner import BatchRunner
 from repro.scenario import ScenarioSpec
 
@@ -43,56 +44,31 @@ def fleet_scenario(
     num_gpus: int = NUM_GPUS,
     workload_id: int = 0,
 ) -> ScenarioSpec:
-    """Build the two-tenant, ``num_gpus``-member fleet scenario for a router."""
-    hp_mean, bg_mean = LOAD_LEVELS["moderate"]
-    factor = config.workload_scale().tb_scale
-    horizon = HORIZON_US * factor
-    return ScenarioSpec(
-        scheme=SERVING_SCHEME,
-        applications=(f"syn-{config.seed}-0", f"syn-{config.seed}-1"),
-        high_priority_index=0,
-        workload_id=workload_id,
-        scale=config.scale,
-        validate=config.validate,
-        trace=config.trace,
-        metrics=config.metrics_spec(),
-        arrivals={
-            "horizon_us": horizon,
-            "warmup_us": horizon / 8.0,
-            "window_us": horizon / 4.0,
-            "queue_capacity": 32 * num_gpus,
-            "admission": "drop",
-            "max_inflight": 4,
-            "tenants": [
-                {
-                    "process": "mmpp",
-                    "seed": config.seed,
-                    # The fleet absorbs num_gpus times the single-GPU load.
-                    "mean_interarrival_us": hp_mean * factor / num_gpus,
-                    "burstiness": 8.0,
-                },
-                {
-                    "process": "poisson",
-                    "seed": config.seed + 1,
-                    "mean_interarrival_us": bg_mean * factor / num_gpus,
-                },
-            ],
-        },
-        slo={"default": SLO_BUDGET_US * factor},
-        cluster={
-            "num_gpus": num_gpus,
-            "router": router,
-            "epoch_us": horizon / 8.0,
-        },
+    """The moderate-load serving scenario on a ``num_gpus``-member fleet.
+
+    It differs from :func:`~repro.experiments.serving.serving_scenario` only
+    in its horizon (with the warm-up and window that follow it), a queue of
+    32 slots per GPU, arrival rates ``num_gpus`` times the single-GPU load,
+    and its ``cluster`` section.
+    """
+    base = serving_scenario(config, load="moderate", workload_id=workload_id)
+    horizon = HORIZON_US * config.workload_scale().tb_scale
+    arrivals = dict(
+        base.arrivals,
+        horizon_us=horizon,
+        warmup_us=horizon / 8.0,
+        window_us=horizon / 4.0,
+        queue_capacity=32 * num_gpus,
+        tenants=[
+            dict(tenant, mean_interarrival_us=tenant["mean_interarrival_us"] / num_gpus)
+            for tenant in base.arrivals["tenants"]
+        ],
     )
-
-
-def _latency_cells(latency: Dict[str, float]) -> List[object]:
-    return [
-        round(latency["p50"], 2),
-        round(latency["p95"], 2),
-        round(latency["p99"], 2),
-    ]
+    return dataclasses.replace(
+        base,
+        arrivals=arrivals,
+        cluster={"num_gpus": num_gpus, "router": router, "epoch_us": horizon / 8.0},
+    )
 
 
 def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:

@@ -148,16 +148,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             record.result.metrics.antt for record in controller_records
         ]
 
-    result.violation_count = sum(len(record.violations) for record in records)
-    result.events_processed = sum(record.result.events_processed for record in records)
-    result.traced_run_count = sum(
-        1 for record in records if record.trace_summary is not None
-    )
-    result.trace_event_count = sum(
-        record.trace_summary["events_total"]
-        for record in records
-        if record.trace_summary is not None
-    )
+    result.count_runs(record.result for record in records)
     result.notes.append(
         f"Scale preset: {config.scale}; {len(records)} traced runs per the "
         f"preemption_latency workload sources (Parboil priority mixes + synthetic "

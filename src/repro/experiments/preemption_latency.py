@@ -26,10 +26,9 @@ import dataclasses
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.base import ExperimentConfig, ExperimentResult
-from repro.experiments.priority_data import PRIORITY_SCHEMES
+from repro.experiments.figure_data import SCHEME_SPECS, grid_workloads
 from repro.runner import RunRecord
 from repro.scenario import ScenarioSpec, SchemeSpec
-from repro.workloads.multiprogram import generate_priority_workloads
 from repro.workloads.synthetic import generate_synthetic_scenarios
 from repro.telemetry.analytics import latency_stats
 
@@ -46,16 +45,9 @@ def parboil_latency_scenarios(
     Shared by this experiment and :mod:`repro.experiments.mechanism_choice`
     (which compares preemption *controllers* over the same workloads).
     """
-    benchmarks = list(config.benchmarks) if config.benchmarks else None
     out: List[Tuple[str, ScenarioSpec]] = []
     for process_count in config.process_counts:
-        workloads = generate_priority_workloads(
-            process_count,
-            workloads_per_benchmark=config.workloads_per_benchmark,
-            seed=config.seed,
-            benchmarks=benchmarks,
-        )
-        for spec in workloads:
+        for spec in grid_workloads("priority", config, process_count):
             for scheme_name, scheme in schemes.items():
                 out.append(
                     (
@@ -75,7 +67,7 @@ def parboil_latency_scenarios(
 def _parboil_scenarios(config: ExperimentConfig) -> List[Tuple[str, ScenarioSpec]]:
     """(scheme label, spec) for the paper's priority workloads, traced."""
     return parboil_latency_scenarios(
-        config, {name: PRIORITY_SCHEMES[name] for name in SCHEMES}
+        config, {name: SCHEME_SPECS[name] for name in SCHEMES}
     )
 
 
@@ -119,7 +111,7 @@ def synthetic_latency_scenarios(
 def _synthetic_scenarios(config: ExperimentConfig) -> List[Tuple[str, ScenarioSpec]]:
     """(scheme label, spec) for fuzzer mixes re-run under both schemes."""
     return synthetic_latency_scenarios(
-        config, {name: PRIORITY_SCHEMES[name] for name in SCHEMES}
+        config, {name: SCHEME_SPECS[name] for name in SCHEMES}
     )
 
 
@@ -170,7 +162,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         ],
     )
     for (source, scheme_name) in sorted(grouped):
-        scheme = PRIORITY_SCHEMES[scheme_name]
+        scheme = SCHEME_SPECS[scheme_name]
         samples = merge_latency_samples(grouped[(source, scheme_name)])
         stats = latency_stats(samples)
         result.rows.append(
@@ -186,16 +178,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         )
         result.series[f"latencies/{source}/{scheme.label}"] = sorted(samples)
 
-    result.violation_count = sum(len(record.violations) for record in records)
-    result.events_processed = sum(record.result.events_processed for record in records)
-    result.traced_run_count = sum(
-        1 for record in records if record.trace_summary is not None
-    )
-    result.trace_event_count = sum(
-        record.trace_summary["events_total"]
-        for record in records
-        if record.trace_summary is not None
-    )
+    result.count_runs(record.result for record in records)
     result.notes.append(
         f"Scale preset: {config.scale}; {len(records)} traced runs "
         f"({len(grouped[('parboil', SCHEMES[0])])} Parboil priority workloads and "

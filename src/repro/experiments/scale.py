@@ -81,12 +81,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             ]
         )
 
-    result.events_processed = sum(r.result.events_processed for r in records)
-    result.violation_count = sum(len(r.violations) for r in records)
-    result.traced_run_count = sum(1 for r in records if r.trace_summary is not None)
-    result.trace_event_count = sum(
-        r.trace_summary["events_total"] for r in records if r.trace_summary is not None
-    )
+    result.count_runs(record.result for record in records)
     result.series["records"] = [record.to_dict() for record in records]
     result.notes.append(
         f"Scale preset: {config.scale}; SM counts {list(LARGE_GPU_SM_COUNTS)}; "

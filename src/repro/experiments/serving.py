@@ -167,16 +167,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             )
         result.series[f"summary/{load}"] = summary
 
-    result.violation_count = sum(len(record.violations) for record in records)
-    result.events_processed = sum(record.result.events_processed for record in records)
-    result.traced_run_count = sum(
-        1 for record in records if record.trace_summary is not None
-    )
-    result.trace_event_count = sum(
-        record.trace_summary["events_total"]
-        for record in records
-        if record.trace_summary is not None
-    )
+    result.count_runs(record.result for record in records)
     horizon = HORIZON_US * config.workload_scale().tb_scale
     result.notes.append(
         f"Scale preset: {config.scale}; horizon {horizon:.0f} us per load level "

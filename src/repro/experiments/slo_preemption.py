@@ -99,16 +99,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         )
         result.series[f"summary/{controller_key}"] = summary
 
-    result.violation_count = sum(len(record.violations) for record in records)
-    result.events_processed = sum(record.result.events_processed for record in records)
-    result.traced_run_count = sum(
-        1 for record in records if record.trace_summary is not None
-    )
-    result.trace_event_count = sum(
-        record.trace_summary["events_total"]
-        for record in records
-        if record.trace_summary is not None
-    )
+    result.count_runs(record.result for record in records)
     result.notes.append(
         f"Scale preset: {config.scale}; heavy-load two-tenant open-loop "
         f"scenario (see the serving experiment) on a {NUM_SMS}-SM GPU, "

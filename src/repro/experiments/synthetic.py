@@ -50,11 +50,9 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             "Violations",
         ],
     )
-    total_violations = 0
     for record in records:
         scenario = record.scenario
         metrics = record.result.metrics
-        total_violations += len(record.violations)
         result.rows.append(
             [
                 f"seed {scenario.workload_id}",
@@ -67,12 +65,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             ]
         )
 
-    result.violation_count = total_violations
-    result.events_processed = sum(r.result.events_processed for r in records)
-    result.traced_run_count = sum(1 for r in records if r.trace_summary is not None)
-    result.trace_event_count = sum(
-        r.trace_summary["events_total"] for r in records if r.trace_summary is not None
-    )
+    result.count_runs(record.result for record in records)
     result.series["records"] = [record.to_dict() for record in records]
     result.notes.append(
         f"Scale preset: {config.scale}; {len(scenarios)} scenarios derived from "
@@ -82,7 +75,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
     )
     if config.validate:
         result.notes.append(
-            f"Invariant validation: {total_violations} violation(s) across "
+            f"Invariant validation: {result.violation_count} violation(s) across "
             f"{len(scenarios)} runs (must be 0 for a correct simulator)."
         )
     else:

@@ -173,16 +173,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         key: round(value, 6) for key, value in trace_stats.items()
     }
 
-    result.violation_count = sum(len(record.violations) for record in records)
-    result.events_processed = sum(record.result.events_processed for record in records)
-    result.traced_run_count = sum(
-        1 for record in records if record.trace_summary is not None
-    )
-    result.trace_event_count = sum(
-        record.trace_summary["events_total"]
-        for record in records
-        if record.trace_summary is not None
-    )
+    result.count_runs(record.result for record in records)
     result.notes.append(
         f"Trace {trace.name}: {trace.total_arrivals} arrivals across "
         f"{NUM_TENANTS} tenants, horizon {trace.horizon_us:.0f} us; KS "

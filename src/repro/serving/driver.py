@@ -45,6 +45,7 @@ from repro.serving.arrivals import ArrivalProcess
 from repro.serving.metrics import ServingMetrics, _round3
 from repro.serving.queue import ADMISSION_POLICIES, IngressQueue, QueueCounters, Request
 from repro.system import GPUSystem
+from repro.utils import checked_duration, checked_int
 
 #: Version tag of the checkpoint payload (bumped on incompatible changes).
 CHECKPOINT_SCHEMA = 1
@@ -127,21 +128,16 @@ class ServingSpec:
             )
         if "horizon_us" not in arrivals:
             raise ValueError("arrivals requires horizon_us")
-        horizon_us = float(arrivals["horizon_us"])
-        if horizon_us <= 0:
-            raise ValueError("horizon_us must be positive")
-        warmup_us = float(arrivals.get("warmup_us", 0.0))
-        if not 0.0 <= warmup_us < horizon_us:
-            raise ValueError("warmup_us must be in [0, horizon_us)")
+        horizon_us = checked_duration(arrivals["horizon_us"], "horizon_us")
+        warmup_us = arrivals.get("warmup_us", 0.0)
+        if type(warmup_us) not in (int, float) or not 0 <= warmup_us < horizon_us:
+            raise ValueError(f"warmup_us must be in [0, horizon_us), not {warmup_us!r}")
         admission = str(arrivals.get("admission", "drop"))
         if admission not in ADMISSION_POLICIES:
             raise ValueError(
                 f"unknown admission policy {admission!r} "
                 f"(choose from {', '.join(ADMISSION_POLICIES)})"
             )
-        max_inflight = int(arrivals.get("max_inflight", 8))
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
 
         tenant_specs = arrivals.get("tenants")
         if tenant_specs is None:
@@ -164,11 +160,11 @@ class ServingSpec:
                 if slot == scenario.high_priority_index
                 else scenario.normal_priority
             )
-            slo_us = tenant.get("slo_us")
+            slo_key, slo_us = f"tenants[{slot}].slo_us", tenant.get("slo_us")
             if slo_us is None:
                 for key in (name, app, "default"):
                     if key in slo and slo[key] is not None:
-                        slo_us = slo[key]
+                        slo_key, slo_us = f"slo[{key!r}]", slo[key]
                         break
             options = {
                 key: value
@@ -181,22 +177,26 @@ class ServingSpec:
                     app=app,
                     slot=slot,
                     process=process,
-                    seed=int(tenant.get("seed", slot)),
-                    priority=int(tenant.get("priority", default_priority)),
+                    seed=checked_int(tenant.get("seed", slot), f"tenants[{slot}].seed"),
+                    priority=checked_int(
+                        tenant.get("priority", default_priority), f"tenants[{slot}].priority"
+                    ),
                     options=options,
-                    slo_us=None if slo_us is None else float(slo_us),
+                    slo_us=None if slo_us is None else checked_duration(slo_us, slo_key),
                 )
             )
 
         return cls(
             horizon_us=horizon_us,
-            warmup_us=warmup_us,
-            queue_capacity=int(arrivals.get("queue_capacity", 64)),
+            warmup_us=float(warmup_us),
+            queue_capacity=checked_int(arrivals.get("queue_capacity", 64), "queue_capacity", 1),
             admission=admission,
-            max_inflight=max_inflight,
-            window_us=float(arrivals.get("window_us", horizon_us / 4.0)),
-            reservoir_capacity=int(arrivals.get("reservoir_capacity", 32)),
-            metrics_seed=int(arrivals.get("metrics_seed", 0)),
+            max_inflight=checked_int(arrivals.get("max_inflight", 8), "max_inflight", 1),
+            window_us=checked_duration(arrivals.get("window_us", horizon_us / 4.0), "window_us"),
+            reservoir_capacity=checked_int(
+                arrivals.get("reservoir_capacity", 32), "reservoir_capacity", 1
+            ),
+            metrics_seed=checked_int(arrivals.get("metrics_seed", 0), "metrics_seed"),
             tenants=tenants,
         )
 

@@ -4,9 +4,8 @@ The paper's simulator is *trace driven*: each benchmark application is
 recorded as the sequence of CUDA API calls it makes (with timestamps for the
 CPU phases between them) plus per-kernel execution traces collected on the
 real GPU.  This package defines the trace schema
-(:mod:`repro.trace.schema`), synthetic trace generation from Table 1 models
-(:mod:`repro.trace.generator`) and a simple JSON (de)serialisation
-(:mod:`repro.trace.serialization`) so traces can be stored and inspected.
+(:mod:`repro.trace.schema`) and synthetic trace generation from Table 1
+models (:mod:`repro.trace.generator`).
 """
 
 from repro.trace.schema import (
@@ -21,7 +20,6 @@ from repro.trace.schema import (
     TraceOp,
 )
 from repro.trace.generator import TraceGenerator
-from repro.trace.serialization import trace_from_dict, trace_to_dict
 
 __all__ = [
     "ApplicationTrace",
@@ -34,6 +32,4 @@ __all__ = [
     "StreamSyncOp",
     "DeviceSyncOp",
     "TraceGenerator",
-    "trace_to_dict",
-    "trace_from_dict",
 ]

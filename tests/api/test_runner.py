@@ -8,11 +8,11 @@ import json
 import pytest
 
 from repro.experiments.base import ExperimentConfig
-from repro.experiments.priority_data import PRIORITY_SCHEMES
-from repro.experiments import dss_data, priority_data
+from repro.experiments.figure_data import SCHEME_SPECS
+from repro.experiments import figure_data
 from repro.runner import BatchRunner, RunRecord, execute_scenario
 from repro.scenario import ScenarioSpec, SchemeSpec
-from repro.workloads.multiprogram import generate_priority_workloads
+from repro.workloads.multiprogram import WorkloadRunner, generate_priority_workloads
 
 
 def smoke_scenarios() -> list:
@@ -20,7 +20,7 @@ def smoke_scenarios() -> list:
     workloads = generate_priority_workloads(
         2, seed=7, benchmarks=["lbm", "spmv", "sad"]
     )[:2]
-    schemes = [PRIORITY_SCHEMES["fcfs"], PRIORITY_SCHEMES["ppq_cs"]]
+    schemes = [SCHEME_SPECS["fcfs"], SCHEME_SPECS["ppq_cs"]]
     return [
         ScenarioSpec.for_workload(workload, scheme, scale="smoke")
         for workload in workloads
@@ -73,9 +73,9 @@ class TestExperimentDataThroughBatchRunner:
     def test_priority_collect_serial_matches_parallel(self, tiny_config):
         import dataclasses
 
-        serial = priority_data.collect(tiny_config, schemes=("fcfs", "npq"))
-        parallel = priority_data.collect(
-            dataclasses.replace(tiny_config, jobs=2), schemes=("fcfs", "npq")
+        serial = figure_data.collect("priority", tiny_config, schemes=("fcfs", "npq"))
+        parallel = figure_data.collect(
+            "priority", dataclasses.replace(tiny_config, jobs=2), schemes=("fcfs", "npq")
         )
         assert serial.results.keys() == parallel.results.keys()
         for key, result in serial.results.items():
@@ -90,8 +90,11 @@ class TestExperimentDataThroughBatchRunner:
                 recorded.extend(records)
                 return records
 
-        data = dss_data.collect(
-            tiny_config, schemes=("fcfs", "dss_cs"), batch_runner=RecordingBatchRunner(jobs=1)
+        data = figure_data.collect(
+            "dss",
+            tiny_config,
+            schemes=("fcfs", "dss_cs"),
+            batch_runner=RecordingBatchRunner(jobs=1),
         )
         assert recorded  # the grid really went through the BatchRunner
         assert all(isinstance(record, RunRecord) for record in recorded)
@@ -100,10 +103,14 @@ class TestExperimentDataThroughBatchRunner:
     def test_duplicate_scheme_labels_rejected(self, tiny_config):
         duplicates = [SchemeSpec(policy="ppq"), SchemeSpec(policy="ppq")]
         with pytest.raises(ValueError, match="duplicate scheme labels"):
-            priority_data.collect(tiny_config, schemes=duplicates)
+            figure_data.collect("priority", tiny_config, schemes=duplicates)
+
+    def test_unknown_grid_rejected(self, tiny_config):
+        with pytest.raises(ValueError, match="unknown grid 'fairness'"):
+            figure_data.collect("fairness", tiny_config)
 
     def test_run_scenario_rejects_mismatched_context(self, tiny_config):
-        runner = tiny_config.make_runner()  # smoke scale, default config
+        runner = WorkloadRunner(scale=tiny_config.workload_scale())  # default config
         scenario = smoke_scenarios()[0]
         mismatched_scale = dataclasses.replace(scenario, scale="reduced")
         with pytest.raises(ValueError, match="does not match this runner's"):
@@ -113,12 +120,3 @@ class TestExperimentDataThroughBatchRunner:
         )
         with pytest.raises(ValueError, match="config_overrides do not match"):
             runner.run_scenario(mismatched_config)
-
-    def test_legacy_runner_path_matches_batch_path(self, tiny_config):
-        via_batch = priority_data.collect(tiny_config, schemes=("fcfs",))
-        via_runner = priority_data.collect(
-            tiny_config, schemes=("fcfs",), runner=tiny_config.make_runner()
-        )
-        assert via_batch.results.keys() == via_runner.results.keys()
-        for key, result in via_batch.results.items():
-            assert via_runner.results[key] == result

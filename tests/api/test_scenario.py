@@ -8,8 +8,7 @@ import pytest
 
 from repro.core.policies import DynamicSpatialSharingPolicy, PreemptivePriorityPolicy
 from repro.core.preemption import DrainingMechanism
-from repro.experiments.dss_data import DSS_SCHEMES
-from repro.experiments.priority_data import PRIORITY_SCHEMES
+from repro.experiments.figure_data import SCHEME_SPECS
 from repro.gpu.config import SystemConfig
 from repro.memory.transfer_engine import TransferSchedulingPolicy
 from repro.scenario import (
@@ -25,11 +24,10 @@ from repro.workloads.multiprogram import WorkloadSpec
 
 class TestSchemeSpec:
     def test_round_trips_for_every_experiment_scheme(self):
-        for catalog in (PRIORITY_SCHEMES, DSS_SCHEMES):
-            for scheme in catalog.values():
-                assert SchemeSpec.from_dict(scheme.to_dict()) == scheme
-                assert SchemeSpec.from_json(scheme.to_json()) == scheme
-                scheme.validate()  # every name resolves in the registries
+        for scheme in SCHEME_SPECS.values():
+            assert SchemeSpec.from_dict(scheme.to_dict()) == scheme
+            assert SchemeSpec.from_json(scheme.to_json()) == scheme
+            scheme.validate()  # every name resolves in the registries
 
     def test_accepts_transfer_policy_enum(self):
         scheme = SchemeSpec(policy="fcfs", transfer_policy=TransferSchedulingPolicy.PRIORITY)
@@ -131,7 +129,7 @@ class TestSchemeSpecController:
 class TestScenarioSpec:
     def scenario(self, **kwargs) -> ScenarioSpec:
         defaults = dict(
-            scheme=PRIORITY_SCHEMES["ppq_cs"],
+            scheme=SCHEME_SPECS["ppq_cs"],
             applications=("mri-q", "lbm"),
             high_priority_index=0,
             scale="smoke",
@@ -151,10 +149,9 @@ class TestScenarioSpec:
 
     def test_round_trips_for_every_experiment_scheme(self):
         workload = WorkloadSpec(applications=("lbm", "spmv"), workload_id=3)
-        for catalog in (PRIORITY_SCHEMES, DSS_SCHEMES):
-            for scheme in catalog.values():
-                spec = ScenarioSpec.for_workload(workload, scheme, scale="smoke")
-                assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        for scheme in SCHEME_SPECS.values():
+            spec = ScenarioSpec.for_workload(workload, scheme, scale="smoke")
+            assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one application"):
@@ -203,7 +200,7 @@ class TestScenarioSpec:
 class TestFromScenario:
     def test_builds_matching_system(self):
         spec = ScenarioSpec(
-            scheme=PRIORITY_SCHEMES["ppq_drain"],
+            scheme=SCHEME_SPECS["ppq_drain"],
             applications=("mri-q", "lbm"),
             high_priority_index=0,
             scale="smoke",
@@ -217,7 +214,7 @@ class TestFromScenario:
 
     def test_dss_gets_process_count_default(self):
         spec = ScenarioSpec(
-            scheme=DSS_SCHEMES["dss_cs"],
+            scheme=SCHEME_SPECS["dss_cs"],
             applications=("lbm", "spmv", "sad"),
             scale="smoke",
         )

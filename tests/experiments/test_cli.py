@@ -270,3 +270,46 @@ def test_main_profile_composes_with_validate(capsys):
     captured = capsys.readouterr()
     assert exit_code == 0
     assert "profile: wall " in captured.err
+
+
+def test_run_selected_collects_each_grid_once_and_counts_it_once(monkeypatch):
+    from repro.experiments import figure_data
+    from repro.experiments.base import ExperimentConfig
+    from repro.experiments.cli import run_selected
+
+    calls = []
+    collect = figure_data.collect
+
+    def recording_collect(grid, config, *, schemes):
+        calls.append((grid, tuple(schemes)))
+        return collect(grid, config, schemes=schemes)
+
+    monkeypatch.setattr(figure_data, "collect", recording_collect)
+    config = ExperimentConfig(
+        scale="smoke",
+        process_counts=(2,),
+        workloads_per_benchmark=1,
+        workloads_per_count=2,
+        benchmarks=("lbm", "sad"),
+        trace=True,
+        validate=True,
+    )
+    results, violations, (traced, trace_events), events = run_selected(
+        ["figure5", "figure8", "figure7"], config
+    )
+    # Figure 5 alone needs four priority schemes; the DSS grid runs once for
+    # both of its figures.
+    assert calls == [
+        ("priority", figure_data.FIGURE5_SCHEMES),
+        ("dss", figure_data.GRIDS["dss"]),
+    ]
+    figure5_result, figure8_result, figure7_result = results
+    # Each grid's runs count once, into the figure that collected it.
+    assert figure5_result.traced_run_count == 2 * 4
+    assert figure8_result.traced_run_count == 2 * 3
+    assert figure7_result.traced_run_count == 0
+    assert figure7_result.events_processed == 0
+    assert traced == 2 * 4 + 2 * 3
+    assert violations == 0
+    assert trace_events == sum(r.trace_event_count for r in results) > 0
+    assert events == sum(r.events_processed for r in results) > 0

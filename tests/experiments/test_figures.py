@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import dss_data, figure5, figure6, figure7, figure8, priority_data
+from repro.experiments import figure5, figure6, figure7, figure8, figure_data
 from repro.experiments.base import ExperimentConfig
 
 
@@ -29,12 +29,12 @@ def tiny_config() -> ExperimentConfig:
 
 @pytest.fixture(scope="module")
 def priority_cache(tiny_config):
-    return priority_data.collect(tiny_config)
+    return figure_data.collect("priority", tiny_config)
 
 
 @pytest.fixture(scope="module")
 def dss_cache(tiny_config):
-    return dss_data.collect(tiny_config)
+    return figure_data.collect("dss", tiny_config)
 
 
 class TestPriorityData:
@@ -43,7 +43,7 @@ class TestPriorityData:
             specs = priority_cache.workloads[count]
             assert len(specs) == len(tiny_config.benchmarks)
             for spec in specs:
-                for scheme in priority_data.PRIORITY_SCHEMES:
+                for scheme in figure_data.GRIDS["priority"]:
                     assert (count, spec.workload_id, scheme) in priority_cache.results
 
     def test_every_benchmark_takes_the_high_priority_role(self, tiny_config, priority_cache):

@@ -1,7 +1,8 @@
-"""Golden-metrics regression tests for the priority experiments.
+"""Golden-metrics regression tests for the paper's Figures 5-8.
 
-The per-scheme summary numbers of Figure 5 and Figure 6 at a fixed smoke
-configuration are frozen into ``tests/golden/``.  The simulation is fully
+The per-scheme summary numbers of Figures 5 and 6 (the priority grid) and
+Figures 7 and 8 (the DSS grid) at a fixed smoke configuration are frozen
+into ``tests/golden/``.  The simulation is fully
 deterministic, so these must match *exactly*: any hot-path refactor that
 silently drifts results (event ordering, float accumulation order, policy
 tie-breaking) fails here instead of shipping skewed figures.
@@ -18,13 +19,14 @@ import pathlib
 
 import pytest
 
-from repro.experiments import figure5, figure6, priority_data
+from repro.experiments import figure5, figure6, figure7, figure8, figure_data
 from repro.experiments.base import ExperimentConfig
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
 #: The frozen configuration: small enough for CI, large enough to exercise
-#: every scheme (including the shared-access PPQ variants of Figure 6).
+#: every scheme (including the shared-access PPQ variants of Figure 6) and
+#: ten random DSS workloads.
 GOLDEN_CONFIG = ExperimentConfig(
     scale="smoke",
     process_counts=(2,),
@@ -33,32 +35,36 @@ GOLDEN_CONFIG = ExperimentConfig(
     benchmarks=("lbm", "spmv", "sad"),
 )
 
-FIGURES = {"figure5": figure5, "figure6": figure6}
+#: Figure -> (the grid it reads, its module).
+FIGURES = {
+    "figure5": ("priority", figure5),
+    "figure6": ("priority", figure6),
+    "figure7": ("dss", figure7),
+    "figure8": ("dss", figure8),
+}
 
 
-def _compute(name: str):
-    data = priority_data.collect(
-        GOLDEN_CONFIG, schemes=tuple(priority_data.PRIORITY_SCHEMES)
-    )
-    result = FIGURES[name].run(GOLDEN_CONFIG, data=data)
+def _summary(name: str, data) -> dict:
+    result = FIGURES[name][1].run(GOLDEN_CONFIG, data=data)
     return {"headers": list(result.headers), "rows": [list(row) for row in result.rows]}
 
 
 @pytest.fixture(scope="module")
 def shared_data():
-    """One collect() shared by both figures (the expensive part)."""
-    return priority_data.collect(
-        GOLDEN_CONFIG, schemes=tuple(priority_data.PRIORITY_SCHEMES)
-    )
+    """One collect() per grid, shared by its figures (the expensive part)."""
+    grids = {}
+
+    def data(grid: str):
+        if grid not in grids:
+            grids[grid] = figure_data.collect(grid, GOLDEN_CONFIG)
+        return grids[grid]
+
+    return data
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))
 def test_figure_summaries_match_golden_fixtures(name, shared_data):
-    result = FIGURES[name].run(GOLDEN_CONFIG, data=shared_data)
-    computed = {
-        "headers": list(result.headers),
-        "rows": [list(row) for row in result.rows],
-    }
+    computed = _summary(name, shared_data(FIGURES[name][0]))
     fixture_path = GOLDEN_DIR / f"{name}_smoke.json"
     golden = json.loads(fixture_path.read_text())
     # Round-trip the computed values through JSON so the comparison uses the
@@ -82,13 +88,13 @@ def static_shared_data():
 
     # Bare controller="static" adopts each scheme's mechanism at bind time.
     static_schemes = tuple(
-        dataclasses.replace(scheme, controller="static")
-        for scheme in priority_data.PRIORITY_SCHEMES.values()
+        dataclasses.replace(figure_data.SCHEME_SPECS[name], controller="static")
+        for name in figure_data.GRIDS["priority"]
     )
-    return priority_data.collect(GOLDEN_CONFIG, schemes=static_schemes)
+    return figure_data.collect("priority", GOLDEN_CONFIG, schemes=static_schemes)
 
 
-@pytest.mark.parametrize("name", sorted(FIGURES))
+@pytest.mark.parametrize("name", ["figure5", "figure6"])
 def test_static_controller_reproduces_golden_fixtures_byte_identically(
     name, static_shared_data
 ):
@@ -98,19 +104,16 @@ def test_static_controller_reproduces_golden_fixtures_byte_identically(
     controller must reproduce the controller-less golden output exactly —
     the fixtures on disk, unchanged.
     """
-    result = FIGURES[name].run(GOLDEN_CONFIG, data=static_shared_data)
-    computed = {
-        "headers": list(result.headers),
-        "rows": [list(row) for row in result.rows],
-    }
+    computed = _summary(name, static_shared_data)
     golden = json.loads((GOLDEN_DIR / f"{name}_smoke.json").read_text())
     assert json.loads(json.dumps(computed)) == golden
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance helper
     """Rewrite the golden fixtures from the current simulator output."""
-    for name in FIGURES:
-        payload = _compute(name)
+    data = {grid: figure_data.collect(grid, GOLDEN_CONFIG) for grid in figure_data.GRIDS}
+    for name, (grid, _) in FIGURES.items():
+        payload = _summary(name, data[grid])
         path = GOLDEN_DIR / f"{name}_smoke.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"regenerated {path}")

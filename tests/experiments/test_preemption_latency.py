@@ -109,13 +109,13 @@ def test_static_controller_reproduces_golden_fixture_byte_identically(monkeypatc
     """
     import dataclasses
 
-    from repro.experiments import priority_data
+    from repro.experiments import figure_data
 
     for name in preemption_latency.SCHEMES:
-        scheme = priority_data.PRIORITY_SCHEMES[name]
+        scheme = figure_data.SCHEME_SPECS[name]
         # Bare controller="static" adopts the scheme's mechanism at bind time.
         monkeypatch.setitem(
-            priority_data.PRIORITY_SCHEMES,
+            figure_data.SCHEME_SPECS,
             name,
             dataclasses.replace(scheme, controller="static"),
         )

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.experiments import figure5, figure6, priority_data
+from repro.experiments import figure5, figure6, figure_data
 from repro.experiments.base import ExperimentConfig
 from repro.runner import BatchRunner, execute_scenario
 from repro.workloads.synthetic import generate_synthetic_scenarios
@@ -80,9 +80,8 @@ def test_figure5_and_figure6_tables_identical_with_tracing():
         benchmarks=("lbm", "spmv", "sad"),
     )
     traced_config = dataclasses.replace(config, trace=True)
-    schemes = tuple(priority_data.PRIORITY_SCHEMES)
-    plain_data = priority_data.collect(config, schemes=schemes)
-    traced_data = priority_data.collect(traced_config, schemes=schemes)
+    plain_data = figure_data.collect("priority", config)
+    traced_data = figure_data.collect("priority", traced_config)
     for module in (figure5, figure6):
         plain = module.run(config, data=plain_data)
         traced = module.run(traced_config, data=traced_data)

@@ -1,12 +1,11 @@
-"""Tests for the trace schema, the synthetic generator and serialisation."""
+"""Tests for the trace schema and the synthetic generator."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.gpu.command_queue import TransferDirection
-from repro.trace.generator import KernelPhase, TraceGenerator
+from repro.trace.generator import KernelPhase
 from repro.trace.schema import (
     ApplicationTrace,
     CpuPhaseOp,
@@ -15,7 +14,6 @@ from repro.trace.schema import (
     MallocOp,
     MemcpyOp,
 )
-from repro.trace.serialization import trace_from_dict, trace_to_dict
 from repro.workloads.parboil import ParboilSuite
 
 
@@ -102,29 +100,3 @@ class TestScaling:
         with pytest.raises(ValueError):
             trace.scaled(0.5, launch_scale=0.0)
 
-
-class TestSerialization:
-    def test_round_trip_preserves_structure(self, trace_generator):
-        trace = trace_generator.uniform_kernel("demo", num_blocks=16, launches=2)
-        rebuilt = trace_from_dict(trace_to_dict(trace))
-        assert rebuilt.name == trace.name
-        assert rebuilt.kernel_launch_count == trace.kernel_launch_count
-        assert rebuilt.total_transfer_bytes == trace.total_transfer_bytes
-        assert list(rebuilt.kernels) == list(trace.kernels)
-        assert len(rebuilt.operations) == len(trace.operations)
-        assert [type(op) for op in rebuilt.operations] == [type(op) for op in trace.operations]
-
-    def test_round_trip_parboil_traces(self, smoke_suite):
-        for name in smoke_suite.names():
-            trace = smoke_suite.trace(name)
-            rebuilt = trace_from_dict(trace_to_dict(trace))
-            assert rebuilt.kernel_launch_count == trace.kernel_launch_count
-            assert rebuilt.application_class == trace.application_class
-
-    @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=5))
-    def test_round_trip_random_uniform_traces(self, blocks, launches):
-        trace = TraceGenerator().uniform_kernel("fuzz", num_blocks=blocks, launches=launches)
-        rebuilt = trace_from_dict(trace_to_dict(trace))
-        assert rebuilt.kernel_launch_count == trace.kernel_launch_count
-        spec = rebuilt.kernels["fuzz_kernel"]
-        assert spec.num_thread_blocks == blocks
