@@ -65,7 +65,8 @@ def make_scenario() -> ScenarioSpec:
 def main() -> None:
     scenario = make_scenario()
     driver = ServingDriver(scenario)
-    profiler = EventLoopProfiler().attach(driver.system.simulator)
+    profiler = EventLoopProfiler()
+    driver.system.install_observer(profiler)
     driver.run()
     hub = driver.system.metrics
     hub.finalize(driver.system.simulator.now)

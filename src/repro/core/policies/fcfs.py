@@ -5,8 +5,8 @@ Kernel commands are admitted strictly in arrival order.  Because today's GPUs
 the same engine", a command is only admitted while the execution engine is
 empty or running kernels from the *same* context; commands from other
 contexts wait.  Within a context, independent kernels may execute
-back-to-back (the Hyper-Q behaviour), controlled by
-``SchedulerConfig.back_to_back_scheduling``.
+back-to-back (the Hyper-Q behaviour) unless the policy's ``back_to_back``
+option is off.
 
 The FCFS policy never preempts.
 """
@@ -27,20 +27,10 @@ class FCFSPolicy(SchedulingPolicy):
 
     name = "fcfs"
 
-    def __init__(self, *, back_to_back: Optional[bool] = None):
+    def __init__(self, *, back_to_back: bool = True):
         super().__init__()
-        #: ``None`` defers to the system configuration at bind time.
-        self._back_to_back_override = back_to_back
-
-    # ------------------------------------------------------------------
-    # Configuration
-    # ------------------------------------------------------------------
-    @property
-    def back_to_back(self) -> bool:
-        """Whether independent kernels from the same context may overlap."""
-        if self._back_to_back_override is not None:
-            return self._back_to_back_override
-        return self.framework.config.scheduler.back_to_back_scheduling
+        #: Whether independent kernels from the same context may overlap.
+        self.back_to_back = back_to_back
 
     # ------------------------------------------------------------------
     # Hooks

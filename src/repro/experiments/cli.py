@@ -54,7 +54,8 @@ from repro.registry import (
 )
 
 #: Experiment name -> runner.  The figures of :data:`FIGURE_GRIDS` also accept
-#: their grid's shared data as ``data=``; :func:`run_selected` passes it.
+#: their grid's shared data as ``data=``; :func:`run_selected` passes it (and
+#: counts its runs once), while a figure run alone collects and counts its own.
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "table1": table1.run,
     "table2": table2.run,

@@ -31,8 +31,8 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 5."""
     config = config if config is not None else ExperimentConfig()
-    if data is None:
-        data = collect("priority", config, schemes=FIGURE5_SCHEMES)
+    own_grid = data is None
+    data = collect("priority", config, schemes=FIGURE5_SCHEMES) if own_grid else data
 
     result = ExperimentResult(
         name="Figure 5",
@@ -85,4 +85,6 @@ def run(
         "Paper reference (full scale): NPQ 1.1x-1.6x, PPQ with context switch 2x-15.6x, "
         "PPQ with draining 1.6x-6x on average, growing with the process count."
     )
+    if own_grid:
+        result.count_runs(data.results.values())
     return result

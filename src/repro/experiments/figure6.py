@@ -33,8 +33,8 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 6 (both panels)."""
     config = config if config is not None else ExperimentConfig()
-    if data is None:
-        data = collect("priority", config)
+    own_grid = data is None
+    data = collect("priority", config) if own_grid else data
 
     result = ExperimentResult(
         name="Figure 6",
@@ -79,4 +79,6 @@ def run(
         "Paper reference (full scale): exclusive access 1.08x-1.12x (context switch) and "
         "1.09x-1.38x (draining); the shared-access variant is worse than exclusive."
     )
+    if own_grid:
+        result.count_runs(data.results.values())
     return result

@@ -34,8 +34,8 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 7 (all three panels as one table)."""
     config = config if config is not None else ExperimentConfig()
-    if data is None:
-        data = collect("dss", config)
+    own_grid = data is None
+    data = collect("dss", config) if own_grid else data
 
     result = ExperimentResult(
         name="Figure 7",
@@ -141,4 +141,6 @@ def run(
         "(draining); fairness improvement up to 3.35x (CS) / 2.7x (draining); STP degradation "
         "1.06x-1.34x (CS) / 1.08x-1.5x (draining)."
     )
+    if own_grid:
+        result.count_runs(data.results.values())
     return result

@@ -29,8 +29,8 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 8 (sorted per-workload ANTT series)."""
     config = config if config is not None else ExperimentConfig()
-    if data is None:
-        data = collect("dss", config)
+    own_grid = data is None
+    data = collect("dss", config) if own_grid else data
 
     result = ExperimentResult(
         name="Figure 8",
@@ -71,4 +71,6 @@ def run(
         "better under DSS than under FCFS; the paper reports ~20% at 2 processes, ~70% at "
         "4 processes and almost all workloads at 6 and 8 processes."
     )
+    if own_grid:
+        result.count_runs(data.results.values())
     return result

@@ -17,9 +17,10 @@ the one retire path, where a thread block is a span of one
 (:meth:`~repro.gpu.sm.StreamingMultiprocessor._retire`).
 
 The representation is *reversible*: the moment anything needs real blocks —
-an observer is installed, the SM is preempted (``evict_all``), a policy
-builds a preemption request over ``resident()``, or a per-block issue lands
-on the SM — the run is materialised into the exact :class:`ThreadBlock`
+an observer of SM hooks is installed (observers of other components' hooks
+leave the SMs alone), the SM is preempted (``evict_all``), a policy builds a
+preemption request over ``resident()``, or a per-block issue lands on the
+SM — the run is materialised into the exact :class:`ThreadBlock`
 objects (and wave entries, in the exact event positions) the per-block path
 would have produced, and execution continues on the classic path.  A span
 that holds its kernel's last block, or retires on a reserved SM, retires

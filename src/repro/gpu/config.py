@@ -186,13 +186,6 @@ class SchedulerConfig:
     #: Maximum number of active (running or preempted) kernels.  ``None``
     #: means "equal to the number of SMs", the paper's choice.
     max_active_kernels: int | None = None
-    #: Whether the baseline FCFS engine performs back-to-back scheduling of
-    #: independent kernels from the same process (paper Sec. 2.3).
-    back_to_back_scheduling: bool = True
-    #: Cost (in microseconds) of one execution of the DSS partitioning
-    #: procedure.  The paper's serial search takes ``num_sms`` cycles, which
-    #: at 706 MHz is ~0.018 µs; we keep it configurable for ablations.
-    policy_invocation_latency_us: float = 0.02
     #: Optional per-preemption latency budget (µs) surfaced to preemption
     #: controllers through :class:`~repro.core.preemption.controller.PreemptionRequest`.
     #: ``None`` leaves budget-aware controllers (e.g. ``hybrid``) on their own

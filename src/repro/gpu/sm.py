@@ -206,15 +206,16 @@ class StreamingMultiprocessor:
         self._runs: Dict[tuple[int, int], BlockRun] = {}
         self._run_blocks = 0
 
-        #: Optional instrumentation sink (see :mod:`repro.validation`).
-        #: Observers are notified of block start/completion/eviction and SM
-        #: configure/release; they must never mutate simulation state.
+        #: Optional instrumentation sink (the observers that override a
+        #: :class:`repro.sim.observers.SMHooks` hook), notified of block
+        #: start/completion/eviction and SM configure/release; it must never
+        #: mutate simulation state.
         self.observer: Optional[object] = None
 
         #: Optional :class:`repro.obs.LogHistogram` fed one sample per fired
         #: wave (the wave size in blocks).  A None-gated raw attribute, not
-        #: an observer: attaching an observer disables the wave batch fast
-        #: path, while this hook rides the existing per-wave counter update.
+        #: an SM hook: an observer of SM hooks turns spans into blocks,
+        #: while this sample rides the retire path's per-wave counter update.
         self.metrics_wave_hist = None
 
         self.utilization = UtilizationTracker(simulator.now)

@@ -80,20 +80,21 @@ class TraceSource:
         high_priority_tenants: int = 0,
         high_priority: int = 10,
     ):
-        if horizon_us <= 0:
-            raise ValueError("horizon_us must be positive")
-        if num_tenants < 1:
-            raise ValueError("num_tenants must be at least 1")
-        if mean_interarrival_us <= 0:
-            raise ValueError("mean_interarrival_us must be positive")
-        if rate_skew < 0:
-            raise ValueError("rate_skew must be non-negative")
-        if tail_alpha <= 1.0:
-            raise ValueError("tail_alpha must be > 1 (finite mean)")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if burstiness < 1.0:
-            raise ValueError("burstiness must be >= 1")
+        # Range checks read ``not lo < x < inf`` so that NaN fails them too.
+        if not 0 < horizon_us < math.inf:
+            raise ValueError("horizon_us must be positive and finite")
+        if not 1 <= num_tenants < math.inf:
+            raise ValueError("num_tenants must be finite and at least 1")
+        if not 0 < mean_interarrival_us < math.inf:
+            raise ValueError("mean_interarrival_us must be positive and finite")
+        if not 0 <= rate_skew < math.inf:
+            raise ValueError("rate_skew must be finite and non-negative")
+        if not 1.0 < tail_alpha < math.inf:
+            raise ValueError("tail_alpha must be finite and > 1 (finite mean)")
+        if not 0 < sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not 1.0 <= burstiness < math.inf:
+            raise ValueError("burstiness must be finite and >= 1")
         if not 0.0 < burst_duty < 1.0:
             raise ValueError("burst_duty must be in (0, 1)")
         if burstiness > 1.0 and burst_duty * burstiness >= 1.0:
@@ -103,8 +104,12 @@ class TraceSource:
             )
         if not 0.0 <= diurnal_depth < 1.0:
             raise ValueError("diurnal_depth must be in [0, 1)")
-        if size_sigma < 0:
-            raise ValueError("size_sigma must be non-negative")
+        if not 0 <= burst_epoch_us < math.inf:
+            raise ValueError("burst_epoch_us must be finite and non-negative")
+        if not 0 <= diurnal_period_us < math.inf:
+            raise ValueError("diurnal_period_us must be finite and non-negative")
+        if not 0 <= size_sigma < math.inf:
+            raise ValueError("size_sigma must be finite and non-negative")
         if not 0 <= high_priority_tenants <= num_tenants:
             raise ValueError("high_priority_tenants must be in [0, num_tenants]")
         self.seed = int(seed)

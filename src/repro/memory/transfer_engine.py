@@ -47,23 +47,16 @@ class DataTransferEngine:
         pcie: PCIeBus,
         *,
         policy: TransferSchedulingPolicy = TransferSchedulingPolicy.FCFS,
-        overlap_directions: bool = True,
     ):
         """Create the engine.
 
-        Parameters
-        ----------
-        policy:
-            How waiting transfers are ordered.
-        overlap_directions:
-            Whether an H2D and a D2H transfer may be in flight at the same
-            time (full-duplex PCIe with two DMA engines).  The paper's K20c
-            has two copy engines; disabling this models a single engine.
+        ``policy`` orders the waiting transfers.  An H2D and a D2H transfer
+        may be in flight at the same time: full-duplex PCIe with two DMA
+        engines, like the paper's K20c.
         """
         self._sim = simulator
         self._pcie = pcie
         self.policy = policy
-        self._overlap = overlap_directions
         self._waiting: List[TransferCommand] = []
         self._in_flight: Dict[TransferDirection, Optional[TransferCommand]] = {
             TransferDirection.HOST_TO_DEVICE: None,
@@ -94,10 +87,6 @@ class DataTransferEngine:
         candidates = self._waiting
         if not candidates:
             return None
-        if not self._overlap:
-            # Single engine: any in-flight transfer blocks all others.
-            if any(cmd is not None for cmd in self._in_flight.values()):
-                return None
         available = [
             cmd for cmd in candidates if self._in_flight[cmd.direction] is None
         ]

@@ -3,12 +3,11 @@
 One :class:`MetricsHub` owns a :class:`~repro.obs.metrics.MetricsRegistry`
 plus the machinery that turns it into a time series:
 
-* :meth:`on_event` is the engine probe.  :class:`repro.sim.engine.Simulator`
-  calls it for every fired event through a None-gated attribute (so the cost
-  with metrics off is one attribute load).  It counts events per *kind*
-  (labels with digit runs collapsed, keeping cardinality O(kinds) no matter
-  how many SMs/blocks/requests a run has) and checks whether a snapshot
-  boundary has been crossed.
+* :meth:`MetricsHub.on_event_fired` is its one hook: an observer of the
+  simulator alone, the hub leaves the SMs their wave and ``BlockRun`` fast
+  paths.  It counts events per *kind* (labels with digit runs collapsed,
+  keeping cardinality O(kinds) no matter how many SMs/blocks/requests a run
+  has) and checks whether a snapshot boundary has been crossed.
 * Snapshot rows are emitted at simulation times that are exact multiples of
   ``interval_us``.  Because row emission is a pure function of the event
   stream (fire times and labels), serial and parallel runs of the same
@@ -16,32 +15,31 @@ plus the machinery that turns it into a time series:
 * *Samplers* are read-only callbacks registered by each layer (engine, GPU,
   serving, cluster) that copy live state into the registry right before a
   row is cut.  Samplers must never mutate simulation state — the same
-  contract as engine observers — which is what keeps results byte-identical
+  contract as every observer — which is what keeps results byte-identical
   with metrics on or off.
 * :meth:`state`/:meth:`restore` round-trip the hub (registry, per-kind
   counts, boundary cursor, rows so far) through JSON, so serving
   checkpoint/resume carries metrics across segments.
 
-The hub deliberately schedules **no events** and installs **no observers**:
-wave joining in :mod:`repro.gpu.sm` relies on event-sequence contiguity and
-on the no-observer batch fast path, so the metrics layer rides entirely on
-pre-existing hooks.
+The hub schedules **no events** (wave joining in :mod:`repro.gpu.sm` relies
+on event-sequence contiguity), and each SM's retire path feeds its wave-size
+histogram (``metrics_wave_hist``), not an SM hook: an SM observer turns
+spans into blocks.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.observers import BaseObserver
 from repro.utils import restored_count
 
 #: Default snapshot cadence (µs of simulation time).
 DEFAULT_INTERVAL_US = 1000.0
-
-#: Raw-label -> kind cache bound; labels beyond this are normalized per call.
-_KIND_CACHE_LIMIT = 4096
 
 _DIGIT_RUNS = re.compile(r"[0-9]+")
 
@@ -49,11 +47,13 @@ _DIGIT_RUNS = re.compile(r"[0-9]+")
 _METRICS_KEYS = frozenset({"interval_us", "heartbeat", "histogram_growth"})
 
 
+@lru_cache(maxsize=4096)
 def normalize_label(label: str) -> str:
     """Collapse digit runs so per-instance labels share one metric kind.
 
     ``sm12.wave34.complete`` -> ``smN.waveN.complete``;
-    ``serving.arrival.lbm#0`` -> ``serving.arrival.lbm#N``.
+    ``serving.arrival.lbm#0`` -> ``serving.arrival.lbm#N``.  Memoised, in a
+    bounded cache: labels that carry ids are unbounded.
     """
     if not label:
         return "unlabeled"
@@ -83,7 +83,7 @@ def resolve_metrics_spec(spec: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
     }
 
 
-class MetricsHub:
+class MetricsHub(BaseObserver):
     """Registry + per-kind event counts + aligned snapshot rows."""
 
     def __init__(
@@ -102,7 +102,6 @@ class MetricsHub:
         self.meta: Dict[str, Any] = {}
         #: Normalized event kind -> fired count.
         self.event_counts: Dict[str, int] = {}
-        self._kind_cache: Dict[str, str] = {}
         #: Next snapshot boundary: the first multiple of ``interval_us``
         #: strictly after ``start_us`` (boundaries are globally aligned, so a
         #: resumed segment continues the same grid).
@@ -135,18 +134,14 @@ class MetricsHub:
         self._row_listeners.append(listener)
 
     # ------------------------------------------------------------------
-    # Engine probe (hot path)
+    # Simulator hook (hot path)
     # ------------------------------------------------------------------
-    def on_event(self, time_us: float, label: str) -> None:
+    def on_event_fired(self, event, previous_now) -> None:
         """Count one fired event; cut snapshot rows for crossed boundaries."""
-        cache = self._kind_cache
-        kind = cache.get(label)
-        if kind is None:
-            kind = normalize_label(label)
-            if len(cache) < _KIND_CACHE_LIMIT:
-                cache[label] = kind
+        kind = normalize_label(event.label)
         counts = self.event_counts
         counts[kind] = counts.get(kind, 0) + 1
+        time_us = event.time
         if time_us >= self._next_due:
             # Emit one row at the *latest* boundary <= time_us; sparse event
             # streams thus produce sparse rows rather than a backlog of

@@ -2,9 +2,10 @@
 
 Two complementary profilers replace the old single-line ``--profile``:
 
-* :class:`EventLoopProfiler` hooks the engine's hot loop (the None-gated
-  ``Simulator.profiler`` attribute) and attributes wall-clock callback time
-  per normalized event kind — "where does the time go *inside* a run".
+* :class:`EventLoopProfiler` is an ``on_event_fired`` observer and
+  attributes the event loop's wall-clock time per normalized event kind —
+  "where does the time go *inside* a run".  Install it like any observer:
+  ``system.install_observer(EventLoopProfiler())``.
 * :class:`PhaseProfiler` wraps coarse phases (one experiment, cache
   collection) with a context manager and renders the multi-line report the
   CLI prints to stderr — "where does the time go *across* a run".
@@ -21,51 +22,36 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.hub import normalize_label
+from repro.sim.observers import BaseObserver
 
-_KIND_CACHE_LIMIT = 4096
 
+class EventLoopProfiler(BaseObserver):
+    """Attribute event-loop wall time per normalized event kind.
 
-class EventLoopProfiler:
-    """Attribute event-callback wall time per normalized event kind."""
+    Each fired event is charged the wall time until the next one fires: its
+    callback plus the loop's bookkeeping and the other observers' hooks.
+    The last event of a run is counted but not timed (and in a run split
+    into several ``run()`` calls, the last event of each call is charged
+    the gap until the next call fires its first).
+    """
 
     def __init__(self, clock=time.perf_counter):
         self._clock = clock
         self.kind_wall_s: Dict[str, float] = {}
         self.kind_count: Dict[str, int] = {}
-        self._kind_cache: Dict[str, str] = {}
+        #: The kind of the event being timed, and when it fired.
+        self._timing: Optional[str] = None
+        self._fired_s = 0.0
 
-    # ------------------------------------------------------------------
-    # Hot path (called by Simulator._fire when attached)
-    # ------------------------------------------------------------------
-    def record(self, label: str, callback) -> None:
-        clock = self._clock
-        start = clock()
-        try:
-            callback()
-        finally:
-            elapsed = clock() - start
-            cache = self._kind_cache
-            kind = cache.get(label)
-            if kind is None:
-                kind = normalize_label(label)
-                if len(cache) < _KIND_CACHE_LIMIT:
-                    cache[label] = kind
-            self.kind_wall_s[kind] = self.kind_wall_s.get(kind, 0.0) + elapsed
-            self.kind_count[kind] = self.kind_count.get(kind, 0) + 1
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def attach(self, simulator) -> "EventLoopProfiler":
-        """Install on a simulator (one profiler per engine at a time)."""
-        if simulator.profiler is not None:
-            raise ValueError("a profiler is already attached to this simulator")
-        simulator.profiler = self
-        return self
-
-    def detach(self, simulator) -> None:
-        if simulator.profiler is self:
-            simulator.profiler = None
+    def on_event_fired(self, event, previous_now) -> None:
+        now = self._clock()
+        wall = self.kind_wall_s
+        if self._timing is not None:
+            wall[self._timing] += now - self._fired_s
+        kind = normalize_label(event.label)
+        wall.setdefault(kind, 0.0)
+        self.kind_count[kind] = self.kind_count.get(kind, 0) + 1
+        self._timing, self._fired_s = kind, now
 
     # ------------------------------------------------------------------
     # Reporting
@@ -92,7 +78,7 @@ class EventLoopProfiler:
         total = self.total_wall_s
         lines = [
             f"profile: event kinds: {len(self.kind_wall_s)}, "
-            f"callback wall {total:.3f} s over {self.total_events} event(s)"
+            f"event-loop wall {total:.3f} s over {self.total_events} event(s)"
         ]
         for kind, wall, events in self.top(count):
             share = wall / total if total else 0.0

@@ -59,8 +59,9 @@ class ArrivalProcess:
     name = "base"
 
     def __init__(self, *, seed: int = 0, mean_interarrival_us: float = 100.0):
-        if mean_interarrival_us <= 0:
-            raise ValueError("mean_interarrival_us must be positive")
+        # Range checks read ``not lo < x < inf`` so that NaN fails them too.
+        if not 0 < mean_interarrival_us < math.inf:
+            raise ValueError("mean_interarrival_us must be positive and finite")
         self.seed = int(seed)
         self.mean_interarrival_us = float(mean_interarrival_us)
         self._index = 0
@@ -138,10 +139,12 @@ class MMPPArrivals(ArrivalProcess):
         mean_idle_len: int = 3,
     ):
         super().__init__(seed=seed, mean_interarrival_us=mean_interarrival_us)
-        if burstiness < 1.0:
-            raise ValueError("burstiness must be >= 1")
-        if mean_burst_len < 1 or mean_idle_len < 1:
-            raise ValueError("phase lengths must be at least 1")
+        if not 1.0 <= burstiness < math.inf:
+            raise ValueError("burstiness must be finite and >= 1")
+        if not 1 <= mean_burst_len < math.inf:
+            raise ValueError("mean_burst_len must be finite and at least 1")
+        if not 1 <= mean_idle_len < math.inf:
+            raise ValueError("mean_idle_len must be finite and at least 1")
         self.burstiness = float(burstiness)
         self.mean_burst_len = int(mean_burst_len)
         self.mean_idle_len = int(mean_idle_len)
@@ -203,8 +206,8 @@ class LognormalArrivals(ArrivalProcess):
         sigma: float = 1.0,
     ):
         super().__init__(seed=seed, mean_interarrival_us=mean_interarrival_us)
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         self.sigma = float(sigma)
         # E[exp(mu + sigma Z)] = exp(mu + sigma^2/2) = mean_interarrival_us.
         self._mu = math.log(self.mean_interarrival_us) - self.sigma * self.sigma / 2.0
@@ -233,8 +236,8 @@ class ParetoArrivals(ArrivalProcess):
         alpha: float = 2.5,
     ):
         super().__init__(seed=seed, mean_interarrival_us=mean_interarrival_us)
-        if alpha <= 1.0:
-            raise ValueError("alpha must be > 1 (finite mean)")
+        if not 1.0 < alpha < math.inf:
+            raise ValueError("alpha must be finite and > 1 (finite mean)")
         self.alpha = float(alpha)
         # E[X] = xm * alpha / (alpha - 1) = mean_interarrival_us.
         self._xm = self.mean_interarrival_us * (self.alpha - 1.0) / self.alpha
@@ -278,8 +281,8 @@ class ReplayArrivals(ArrivalProcess):
         gaps: List[float] = [float(g) for g in (interarrival_us or [])]
         if not gaps:
             raise ValueError("replay needs a non-empty interarrival_us list")
-        if any(g < 0 for g in gaps):
-            raise ValueError("interarrival gaps must be non-negative")
+        if not all(0 <= g < math.inf for g in gaps):
+            raise ValueError("interarrival_us gaps must be finite and non-negative")
         self.gaps = gaps
         self.wrap = bool(wrap)
 

@@ -18,10 +18,10 @@ for throughput while keeping the observable contract bit-for-bit stable:
   C-level tuple comparison, and the unique per-simulator ``seq`` guarantees
   comparisons never reach the :class:`~repro.sim.events.Event` object (a
   plain ``__slots__`` class).
-* Like every instrumented component, the simulator has one None-gated
-  ``observer`` slot (see :mod:`repro.sim.observers`), filled only when an
-  installed observer implements the per-event hooks: :meth:`schedule_at` and
-  the :meth:`run` loop otherwise pay one attribute check.
+* The simulator's one instrumentation point is a None-gated ``observer``
+  slot (see :mod:`repro.sim.observers`), filled only with observers of
+  ``on_event_fired`` (the metrics hub, the event-loop profiler).  Time needs
+  no observer: scheduling or firing an event in the past raises.
 * Cancelled events are discarded lazily when they reach the head of the
   heap; when too many dead entries accumulate (cancellation-heavy preemption
   scenarios), the heap is compacted in place so memory and pop cost stay
@@ -82,9 +82,9 @@ class Simulator:
         self._live_events = 0
         #: Cancelled events still sitting in the heap (compaction trigger).
         self._dead_entries = 0
-        #: Optional observer notified on every scheduled and fired event
-        #: (``on_event_scheduled`` / ``on_event_fired``).  It must only
-        #: *observe*: runs are byte-identical with and without it.
+        #: Optional observer notified on every fired event
+        #: (``on_event_fired``).  It must only *observe*: runs are
+        #: byte-identical with and without it.
         self.observer = None
         self.events_processed = 0
         self.events_scheduled = 0
@@ -94,14 +94,6 @@ class Simulator:
         #: Number of in-place heap compactions performed (see
         #: :meth:`_maybe_compact`); surfaced by the metrics layer.
         self.compactions = 0
-        #: Optional :class:`repro.obs.MetricsHub` probe called once per fired
-        #: event.  None-gated raw attribute (not an observer): with metrics
-        #: off the hot loop pays one attribute load, and unlike observers it
-        #: does not disable the SM wave-batching fast path.
-        self.metrics = None
-        #: Optional :class:`repro.obs.EventLoopProfiler` wrapping event
-        #: callbacks with wall-clock timing; same None-gated contract.
-        self.profiler = None
 
     # ------------------------------------------------------------------
     # Time
@@ -155,8 +147,6 @@ class Simulator:
         self.events_scheduled += 1
         if len(heap) > self.peak_heap_entries:
             self.peak_heap_entries = len(heap)
-        if self.observer is not None:
-            self.observer.on_event_scheduled(event, self._now)
         return EventHandle(event)
 
     def cancel(self, handle: EventHandle) -> None:
@@ -203,16 +193,9 @@ class Simulator:
         self._live_events -= 1
         self._now = entry[0]
         self.events_processed += 1
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.on_event(entry[0], event.label)
         if self.observer is not None:
             self.observer.on_event_fired(event, previous_now)
-        profiler = self.profiler
-        if profiler is None:
-            event.callback()
-        else:
-            profiler.record(event.label, event.callback)
+        event.callback()
 
     def step(self) -> bool:
         """Process the next pending event.

@@ -37,7 +37,10 @@ from repro.memory.dram import DRAMModel
 from repro.memory.pcie import PCIeBus
 from repro.memory.transfer_engine import DataTransferEngine, TransferSchedulingPolicy
 from repro.sim.engine import Simulator
-from repro.sim.observers import BaseObserver, CompositeObserver, implemented_hooks
+from repro.sim.observers import (
+    CPUHooks, DispatcherHooks, ExecutionEngineHooks, ServingHooks, SimulatorHooks, SMHooks,
+    section_observers,
+)
 from repro.trace.schema import ApplicationTrace
 
 
@@ -126,11 +129,11 @@ class GPUSystem:
         #: :meth:`run` must not drain the stopped processes' kernels.
         self._min_iterations_reached = False
         #: Observers installed on the component hooks (see
-        #: :meth:`install_observer`); the components themselves keep a single
-        #: ``observer`` attribute, multiplexed through a
-        #: :class:`~repro.sim.observers.CompositeObserver` when several are
-        #: installed (e.g. ``validate=True`` together with ``trace=True``).
+        #: :meth:`install_observer`); each component keeps a single
+        #: ``observer`` attribute holding the observers of its own hooks.
         self._component_observers: List[object] = []
+        #: False while the instruments below install: they are wired once.
+        self._wired = False
         #: Runtime invariant-validation hub (``None`` unless ``validate=True``).
         self.validation = None
         if validate:
@@ -148,8 +151,8 @@ class GPUSystem:
             collector.attach(self)
         #: Metrics hub (``None`` unless metrics are enabled).  ``metrics``
         #: accepts ``True`` / a ``ScenarioSpec.metrics``-style mapping; the
-        #: hub hooks the engine through None-gated attributes rather than
-        #: observers, so enabling it keeps the SM wave-batching fast path.
+        #: hub observes only the simulator's hook, so enabling it keeps the
+        #: SM wave-batching and ``BlockRun`` fast paths.
         self.metrics = None
         # `{}` means on-with-defaults (the canonical form of `metrics=True`),
         # so gate on None rather than truthiness.
@@ -177,22 +180,22 @@ class GPUSystem:
             )
             for sm in self.execution_engine.sms():
                 sm.metrics_wave_hist = wave_hist
-            self.simulator.metrics = hub
+            self.install_observer(hub)
             self.metrics = hub
+        self._wired = True
+        if self._component_observers:
+            self._rewire_observers()
 
     # ------------------------------------------------------------------
     # Instrumentation observers
     # ------------------------------------------------------------------
     def install_observer(self, *observers) -> None:
-        """Attach ``observers`` to every instrumented component of the system.
+        """Attach ``observers`` to the instrumented components of the system.
 
-        Observers (see :class:`repro.sim.observers.BaseObserver` for the hook
-        vocabulary) must only observe — never schedule events or mutate model
-        state — so any number of them can be installed without perturbing the
-        simulation.  Multiple observers, or one that does not subclass
-        ``BaseObserver`` and so may lack hooks, are multiplexed through a
-        :class:`~repro.sim.observers.CompositeObserver`, keeping the
-        single-observer hot path a plain attribute check.
+        Observers (see :mod:`repro.sim.observers`) must only observe, so any
+        number of them can be installed without perturbing the simulation.
+        Each component hears only the observers of its own hooks, so only an
+        observer of SM hooks rebuilds resident ``BlockRun`` spans as blocks.
         """
         installed = list(self._component_observers)
         for observer in observers:
@@ -211,26 +214,20 @@ class GPUSystem:
         self._rewire_observers()
 
     def _rewire_observers(self) -> None:
-        observers = self._component_observers
-        if not observers:
-            target = None
-        elif len(observers) == 1 and isinstance(observers[0], BaseObserver):
-            target = observers[0]
-        else:
-            # A composite supplies the no-op hooks a duck-typed observer lacks.
-            target = CompositeObserver(observers)
-        # The simulator's per-event hooks are wired only to observers of them.
-        events = implemented_hooks(target) & {"on_event_scheduled", "on_event_fired"}
-        self.simulator.observer = target if events else None
-        self.execution_engine.observer = target
+        if not self._wired:
+            return
+        slots = section_observers(self._component_observers)
+        self.simulator.observer = slots[SimulatorHooks]
+        self.execution_engine.observer = slots[ExecutionEngineHooks]
+        sm_observer = slots[SMHooks]
         for sm in self.execution_engine.sms():
-            sm.observer = target
-            if target is not None:
+            sm.observer = sm_observer
+            if sm_observer is not None:
                 sm.resident()  # observers see blocks: rebuild resident spans
-        self.dispatcher.observer = target
-        self.cpu.observer = target
+        self.dispatcher.observer = slots[DispatcherHooks]
+        self.cpu.observer = slots[CPUHooks]
         if self.serving is not None:
-            self.serving.observer = target
+            self.serving.observer = slots[ServingHooks]
 
     # ------------------------------------------------------------------
     # Declarative construction

@@ -10,12 +10,15 @@ core conservation laws while it executes:
   thread / block limits,
 * context-switch state saved equals state restored (and drained SMs are
   empty before reassignment),
-* simulation time is monotone and no event fires in the past,
+* each hardware queue has at most one command in flight,
 * per-process iteration metrics are internally consistent.
 
+(The engine itself raises rather than schedule or fire an event in the past.)
+
 Checkers are observers (:class:`~repro.sim.observers.BaseObserver`
-subclasses that override only their own hooks); the hub is their container,
-installing them on the system and collecting their findings.  Checkers
+subclasses that override only their own hooks, and so are wired only into
+the components that fire them); the hub is their container, installing
+them on the system and collecting their findings.  Checkers
 observe, they never perturb: a run with validation enabled produces
 byte-identical results to the same run without it.  Violations are recorded
 (not raised) and surfaced through :class:`repro.runner.RunRecord`.
@@ -30,7 +33,6 @@ from repro.validation.base import (
 from repro.validation.checkers import (
     BlockAccountingChecker,
     DispatchChecker,
-    EventOrderChecker,
     MetricsChecker,
     OccupancyChecker,
     PreemptionChecker,
@@ -51,7 +53,6 @@ __all__ = [
     "BlockAccountingChecker",
     "OccupancyChecker",
     "PreemptionChecker",
-    "EventOrderChecker",
     "DispatchChecker",
     "MetricsChecker",
     "default_checkers",

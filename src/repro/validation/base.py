@@ -2,12 +2,12 @@
 
 Checkers are observers: :class:`InvariantChecker` subclasses
 :class:`~repro.sim.observers.BaseObserver`, so the hook vocabulary is written
-once, and each checker overrides only the hooks it needs.  The simulator, SMs,
-command dispatcher and execution engine call those hooks directly (through
-one :class:`~repro.sim.observers.CompositeObserver` when several observers are
-installed).  Checkers assert the simulator's core conservation laws — blocks
-complete exactly once, occupancy limits hold, preempted state balances, time
-is monotone, per-process metrics are consistent — and *record*
+once, and each checker overrides only the hooks it needs.  The SMs, command
+dispatcher and execution engine call those hooks directly (through one
+:class:`~repro.sim.observers.CompositeObserver` per component when several
+observers hear it).  Checkers assert the simulator's core conservation laws —
+blocks complete exactly once, occupancy limits hold, preempted state
+balances, per-process metrics are consistent — and *record*
 :class:`Violation` values instead of raising, so a single run can surface
 every broken invariant at once.  The :class:`ValidationHub` is their
 container: it installs them, runs their end-of-run pass and collects the

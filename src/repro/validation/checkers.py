@@ -11,15 +11,15 @@ under *any* workload (hand-written, Parboil, or fuzzer-generated):
 * :class:`PreemptionChecker` — context-switch state saved equals state
   restored (plus what is still waiting in PTBQs), draining never produces
   evicted state, and preempted SMs are empty before reassignment.
-* :class:`EventOrderChecker` — simulation time is monotone and no event is
-  scheduled or fired in the past.
 * :class:`DispatchChecker` — each hardware queue has at most one in-flight
   command (stream serialisation).
 * :class:`MetricsChecker` — per-process iteration records are internally
   consistent (turnaround ≥ executed CPU time ≥ 0, iterations ordered).
 
 All checkers only *observe*; they record violations instead of raising so a
-single run reports every broken invariant.
+single run reports every broken invariant.  Simulation time needs no
+checker: the engine itself raises rather than schedule or fire an event in
+the past (:mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
@@ -250,41 +250,6 @@ class PreemptionChecker(InvariantChecker):
             )
 
 
-class EventOrderChecker(InvariantChecker):
-    """Simulation time is monotone; nothing is scheduled or fires in the past."""
-
-    name = "event_order"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._last_fired: Optional[float] = None
-
-    def on_event_scheduled(self, event, now) -> None:
-        if event.time < now - TIME_EPS:
-            self.record(
-                "scheduled_in_the_past",
-                f"event {event.label!r} scheduled at t={event.time} before now={now}",
-                time_us=now,
-            )
-
-    def on_event_fired(self, event, previous_now) -> None:
-        if event.time < previous_now - TIME_EPS:
-            self.record(
-                "fired_in_the_past",
-                f"event {event.label!r} fired at t={event.time} with the clock at "
-                f"{previous_now}",
-                time_us=previous_now,
-            )
-        if self._last_fired is not None and event.time < self._last_fired - TIME_EPS:
-            self.record(
-                "time_not_monotone",
-                f"event {event.label!r} fired at t={event.time} after an event at "
-                f"t={self._last_fired}",
-                time_us=event.time,
-            )
-        self._last_fired = event.time
-
-
 class DispatchChecker(InvariantChecker):
     """Each hardware queue keeps at most one command in flight."""
 
@@ -363,7 +328,6 @@ def default_checkers() -> List[InvariantChecker]:
         BlockAccountingChecker(),
         OccupancyChecker(),
         PreemptionChecker(),
-        EventOrderChecker(),
         DispatchChecker(),
         MetricsChecker(),
     ]

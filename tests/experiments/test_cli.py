@@ -313,3 +313,25 @@ def test_run_selected_collects_each_grid_once_and_counts_it_once(monkeypatch):
     assert violations == 0
     assert trace_events == sum(r.trace_event_count for r in results) > 0
     assert events == sum(r.events_processed for r in results) > 0
+
+
+@pytest.mark.parametrize(
+    "name, runs", [("figure5", 2 * 4), ("figure6", 2 * 6), ("figure7", 2 * 3), ("figure8", 2 * 3)]
+)
+def test_a_standalone_figure_counts_the_runs_it_collects(name, runs):
+    from repro.experiments.base import ExperimentConfig
+
+    config = ExperimentConfig(
+        scale="smoke",
+        process_counts=(2,),
+        workloads_per_benchmark=1,
+        workloads_per_count=2,
+        benchmarks=("lbm", "sad"),
+        trace=True,
+        validate=True,
+    )
+    result = EXPERIMENTS[name](config)
+    assert result.traced_run_count == runs
+    assert result.violation_count == 0
+    assert result.trace_event_count > 0
+    assert result.events_processed > 0

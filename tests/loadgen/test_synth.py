@@ -76,6 +76,23 @@ class TestTraceShape:
         with pytest.raises(ValueError, match="horizon_us"):
             synthesize_trace("azure_faas", horizon_us=0.0)
 
+    #: Every numeric option.  Checks like ``x <= 0`` once let NaN through: a
+    #: NaN ``size_sigma`` floored every request size at 0.05, and a NaN
+    #: ``mean_interarrival_us`` or ``horizon_us`` spun ~15 s until the
+    #: per-tenant arrival bound raised.
+    NUMERIC_OPTIONS = (
+        "horizon_us", "num_tenants", "mean_interarrival_us", "rate_skew", "tail_alpha",
+        "sigma", "burstiness", "burst_duty", "burst_epoch_us", "diurnal_depth",
+        "diurnal_period_us", "size_sigma", "high_priority_tenants",
+    )
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf), ids=repr)
+    @pytest.mark.parametrize("option", NUMERIC_OPTIONS)
+    @pytest.mark.parametrize("source", ("azure_faas", "pareto_burst", "lognormal_diurnal"))
+    def test_non_finite_option_is_rejected_naming_it(self, source, option, value):
+        with pytest.raises(ValueError, match=f"^{option} must be"):
+            synthesize_trace(source, **{option: value})
+
 
 class TestProperties:
     """25-seed statistical contracts (mean rate, CV, tail index)."""

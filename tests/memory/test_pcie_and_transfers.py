@@ -86,15 +86,6 @@ class TestTransferEngine:
         # Full duplex: both finish at (approximately) the single-transfer time.
         assert h2d.completion_time_us == pytest.approx(d2h.completion_time_us, rel=0.01)
 
-    def test_single_engine_mode_serialises_directions(self, simulator, pcie):
-        engine = DataTransferEngine(simulator, pcie, overlap_directions=False)
-        h2d = make_transfer(size=1 << 20, direction=TransferDirection.HOST_TO_DEVICE)
-        d2h = make_transfer(size=1 << 20, direction=TransferDirection.DEVICE_TO_HOST)
-        engine.submit(h2d)
-        engine.submit(d2h)
-        simulator.run()
-        assert d2h.completion_time_us > h2d.completion_time_us * 1.5
-
     def test_rejects_non_transfer_commands(self, simulator, pcie):
         engine = DataTransferEngine(simulator, pcie)
         with pytest.raises(TypeError):

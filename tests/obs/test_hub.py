@@ -22,6 +22,12 @@ from repro.obs import (
     write_prometheus,
 )
 from repro.scenario import ScenarioSpec, SchemeSpec
+from repro.sim.events import Event
+
+
+def fire(hub, time_us, label):
+    """Hand ``hub`` one fired event, as the simulator's hook does."""
+    hub.on_event_fired(Event(time_us, 0, 0, lambda: None, label), 0.0)
 
 
 def make_serving_scenario(metrics=None):
@@ -82,29 +88,29 @@ def test_normalize_label_collapses_digit_runs():
 # ----------------------------------------------------------------------
 def test_rows_land_on_interval_multiples():
     hub = MetricsHub(interval_us=100.0)
-    hub.on_event(5.0, "a")
+    fire(hub, 5.0, "a")
     assert hub.rows == []
-    hub.on_event(105.0, "a")
+    fire(hub, 105.0, "a")
     assert [row["t_us"] for row in hub.rows] == [100.0]
-    hub.on_event(350.0, "b")
+    fire(hub, 350.0, "b")
     assert [row["t_us"] for row in hub.rows] == [100.0, 300.0]
     # Sparse event streams produce sparse rows, not a backlog.
-    hub.on_event(950.0, "a")
+    fire(hub, 950.0, "a")
     assert [row["t_us"] for row in hub.rows] == [100.0, 300.0, 900.0]
 
 
 def test_start_us_aligns_to_the_global_grid():
     hub = MetricsHub(interval_us=100.0, start_us=250.0)
-    hub.on_event(260.0, "a")
+    fire(hub, 260.0, "a")
     assert hub.rows == []
-    hub.on_event(301.0, "a")
+    fire(hub, 301.0, "a")
     assert [row["t_us"] for row in hub.rows] == [300.0]
 
 
 def test_event_counts_mirror_into_registry_on_sample():
     hub = MetricsHub(interval_us=100.0)
-    hub.on_event(1.0, "sm1.block(2, 3).complete")
-    hub.on_event(2.0, "sm2.block(4, 5).complete")
+    fire(hub, 1.0, "sm1.block(2, 3).complete")
+    fire(hub, 2.0, "sm2.block(4, 5).complete")
     hub.emit_row(10.0)
     row = hub.rows[-1]
     assert row["metrics"]["engine.events.smN.block(N, N).complete"] == 2
@@ -112,7 +118,7 @@ def test_event_counts_mirror_into_registry_on_sample():
 
 def test_finalize_emits_once_and_only_past_last_row():
     hub = MetricsHub(interval_us=100.0)
-    hub.on_event(150.0, "a")
+    fire(hub, 150.0, "a")
     hub.finalize(150.0)
     assert [row["t_us"] for row in hub.rows] == [100.0, 150.0]
     hub.finalize(150.0)  # already covered: no extra row
@@ -122,7 +128,7 @@ def test_finalize_emits_once_and_only_past_last_row():
 def test_state_restore_continues_identically():
     def feed(hub, times):
         for t in times:
-            hub.on_event(t, f"evt{int(t) % 3}")
+            fire(hub, t, f"evt{int(t) % 3}")
 
     first_half = [12.0, 90.0, 150.0, 260.0]
     second_half = [310.0, 420.0, 555.0]

@@ -9,6 +9,7 @@ import re
 import pytest
 
 from repro.obs import EventLoopProfiler, HealthReporter, PhaseProfiler
+from repro.sim.events import Event
 from repro.system import GPUSystem
 from repro.workloads.synthetic import generate_synthetic_scenario
 
@@ -26,7 +27,8 @@ def _run_system(scenario, *, profile=False):
     system = GPUSystem.from_scenario(scenario)
     profiler = None
     if profile:
-        profiler = EventLoopProfiler().attach(system.simulator)
+        profiler = EventLoopProfiler()
+        system.install_observer(profiler)
     system.run(stop_after_min_iterations=2)
     return system, profiler
 
@@ -55,14 +57,30 @@ def test_event_loop_profiler_never_perturbs_results():
     assert profiled.simulator.events_processed == plain.simulator.events_processed
 
 
-def test_event_loop_profiler_rejects_double_attach():
+def test_event_loop_profiler_installs_like_any_observer():
     scenario = generate_synthetic_scenario(5, scale="smoke")
     system = GPUSystem.from_scenario(scenario)
-    profiler = EventLoopProfiler().attach(system.simulator)
-    with pytest.raises(ValueError):
-        EventLoopProfiler().attach(system.simulator)
-    profiler.detach(system.simulator)
-    assert system.simulator.profiler is None
+    profiler = EventLoopProfiler()
+    system.install_observer(profiler)
+    # It hears only the simulator's hook: no other component is observed.
+    assert system.simulator.observer is profiler
+    assert system.execution_engine.observer is None
+    assert all(sm.observer is None for sm in system.execution_engine.sms())
+    with pytest.raises(ValueError, match="already installed"):
+        system.install_observer(profiler)
+    system.uninstall_observer(profiler)
+    assert system.simulator.observer is None
+
+
+def test_event_loop_profiler_charges_each_event_until_the_next_fires():
+    ticks = iter([1.0, 3.0, 7.0])
+    profiler = EventLoopProfiler(clock=lambda: next(ticks))
+    for label in ("sm1.wave", "sm2.wave", "kernel3.done"):
+        profiler.on_event_fired(Event(0.0, 0, 0, lambda: None, label), 0.0)
+    # smN.wave ran from 1 to 3 and from 3 to 7; the last event is counted
+    # but not timed.
+    assert profiler.kind_wall_s == {"smN.wave": 6.0, "kernelN.done": 0.0}
+    assert profiler.kind_count == {"smN.wave": 2, "kernelN.done": 1}
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.experiments.base import ExperimentConfig
+from repro.experiments.serving import serving_scenario
 from repro.registry import ARRIVALS, UnknownComponentError
+from repro.scenario import ScenarioSpec
 from repro.serving.arrivals import (
     MAX_GAP_US,
     ArrivalProcess,
@@ -12,6 +17,7 @@ from repro.serving.arrivals import (
     ReplayArrivals,
     make_arrival_process,
 )
+from repro.serving.driver import ServingDriver
 
 KINDS = ("poisson", "mmpp", "lognormal", "pareto")
 
@@ -184,3 +190,44 @@ def test_replay_restore_rejects_a_mistyped_field(state, field):
 def test_non_positive_mean_rejected():
     with pytest.raises(ValueError):
         make_arrival_process("poisson", mean_interarrival_us=0.0)
+
+
+#: Process -> its numeric options.  A range check like ``x <= 0`` lets NaN
+#: through: NaN means made every lognormal, Pareto and Poisson gap 0.0 (a
+#: serving run spun until its livelock guard), an infinite mean silently
+#: dropped the tenant, and a NaN replay gap read as 0.0.
+NUMERIC_OPTIONS = {
+    "poisson": ("mean_interarrival_us",),
+    "mmpp": ("mean_interarrival_us", "burstiness", "mean_burst_len", "mean_idle_len"),
+    "lognormal": ("mean_interarrival_us", "sigma"),
+    "pareto": ("mean_interarrival_us", "alpha"),
+    "replay": ("mean_interarrival_us",),
+}
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize(
+    "kind, option",
+    [(kind, option) for kind, options in NUMERIC_OPTIONS.items() for option in options],
+)
+def test_non_finite_option_is_rejected_naming_it(kind, option, value):
+    options = {"interarrival_us": [1.0]} if kind == "replay" else {}
+    options[option] = value
+    with pytest.raises(ValueError, match=f"^{option} must be"):
+        ARRIVALS.create(kind, **options)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+def test_non_finite_replay_gap_is_rejected(value):
+    with pytest.raises(ValueError, match="^interarrival_us gaps must be"):
+        ReplayArrivals(interarrival_us=[1.0, value, 2.0])
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("option", ("mean_interarrival_us", "burstiness"))
+def test_serving_tenant_with_non_finite_option_fails_before_running(option, value):
+    payload = serving_scenario(ExperimentConfig(scale="smoke"), load="heavy").to_dict()
+    payload["arrivals"]["tenants"][0][option] = value  # the mmpp tenant
+    with pytest.raises(ValueError, match=f"^{option} must be"):
+        ServingDriver(ScenarioSpec.from_dict(payload))

@@ -300,20 +300,19 @@ def test_cancel_after_fire_does_not_corrupt_pending_count(simulator):
     assert simulator.pending_events == 1
 
 
-def test_observers_see_scheduling_and_firing(simulator):
+def test_observer_sees_each_fired_event_before_its_callback(simulator):
     seen = []
 
     class Recorder:
-        def on_event_scheduled(self, event, now):
-            seen.append(("scheduled", event.time, now))
-
         def on_event_fired(self, event, previous_now):
-            seen.append(("fired", event.time, previous_now))
+            seen.append(("fired", event.time, previous_now, simulator.now))
 
     simulator.observer = Recorder()
-    simulator.schedule(2.0, lambda: None)
+    simulator.schedule(2.0, lambda: seen.append(("callback", simulator.now)))
     simulator.run()
-    assert seen == [("scheduled", 2.0, 0.0), ("fired", 2.0, 0.0)]
+    # Scheduling notifies nothing; firing notifies once, with the clock
+    # already advanced and before the callback runs.
+    assert seen == [("fired", 2.0, 0.0, 2.0), ("callback", 2.0)]
     simulator.observer = None
     simulator.schedule(3.0, lambda: None)
     simulator.run()

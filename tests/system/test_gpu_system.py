@@ -10,7 +10,9 @@ import pytest
 from repro.core.policies import FCFSPolicy
 from repro.core.preemption import DrainingMechanism
 from repro.gpu.kernel import KernelLaunch
+from repro.gpu.sm import StreamingMultiprocessor
 from repro.memory.transfer_engine import TransferSchedulingPolicy
+from repro.obs import EventLoopProfiler
 from repro.sim.observers import BaseObserver
 from repro.system import GPUSystem, run_isolated
 from repro.trace.generator import TraceGenerator
@@ -256,9 +258,19 @@ class TestObserverWiring:
         assert system.execution_engine.observer is system.telemetry
         assert system.simulator.observer is None
 
+    def test_a_bare_observer_is_wired_nowhere(self):
+        system = GPUSystem(policy="fcfs")
+        observer = BaseObserver()  # overrides no hook
+        system.install_observer(observer)
+        slots = [system.simulator, system.execution_engine, system.dispatcher, system.cpu]
+        slots += list(system.execution_engine.sms())
+        assert all(component.observer is None for component in slots)
+        with pytest.raises(ValueError, match="already installed"):
+            system.install_observer(observer)
+
     def test_installing_an_installed_observer_raises(self):
         system = GPUSystem(policy="fcfs")
-        first, second = BaseObserver(), BaseObserver()
+        first, second = KernelWatcher(), KernelWatcher()
         system.install_observer(first)
         with pytest.raises(ValueError, match="already installed"):
             system.install_observer(first)
@@ -269,10 +281,75 @@ class TestObserverWiring:
 
     def test_several_observers_install_and_uninstall_in_one_call(self):
         system = GPUSystem(policy="fcfs")
-        first, second = BaseObserver(), BaseObserver()
+        first, second = KernelWatcher(), KernelWatcher()
         system.install_observer(first, second)
-        assert system.dispatcher.observer.observers == [first, second]
+        assert system.execution_engine.observer.observers == [first, second]
+        # Neither overrides a dispatcher or SM hook: those stay unobserved.
+        assert system.dispatcher.observer is None
+        assert all(sm.observer is None for sm in system.execution_engine.sms())
         system.uninstall_observer(first, second)
         slots = [system.simulator, system.execution_engine, system.dispatcher, system.cpu]
         slots += list(system.execution_engine.sms())
         assert all(component.observer is None for component in slots)
+
+    def test_an_observer_without_sm_hooks_keeps_block_runs(self, start_run_calls):
+        plain = _run_8sm_preset(start_run_calls)
+        watcher = KernelWatcher()
+        watched = _run_8sm_preset(start_run_calls, watcher)
+        assert watched == plain
+        assert (plain["start_run_calls"], plain["events_processed"]) == (402, 345)
+        assert watcher.finished > 0
+
+    def test_metrics_and_profiler_keep_block_runs(self, start_run_calls):
+        plain = _run_8sm_preset(start_run_calls)
+        profiler = EventLoopProfiler()
+        observed = _run_8sm_preset(start_run_calls, profiler, metrics={"interval_us": 100.0})
+        # Same events, waves, makespan and iterations, with BlockRun engaged.
+        assert observed == plain
+        assert plain["start_run_calls"] > 0
+        assert profiler.total_events == observed["events_processed"]
+
+
+class KernelWatcher(BaseObserver):
+    """Overrides one execution-engine hook and no other."""
+
+    def __init__(self) -> None:
+        self.finished = 0
+
+    def on_kernel_finished(self, launch) -> None:
+        self.finished += 1
+
+
+@pytest.fixture
+def start_run_calls(monkeypatch):
+    """Records each ``StreamingMultiprocessor.start_run`` (a BlockRun issue)."""
+    calls = []
+    start_run = StreamingMultiprocessor.start_run
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.sm_id)
+        return start_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingMultiprocessor, "start_run", counting)
+    return calls
+
+
+def _run_8sm_preset(start_run_calls, *observers, metrics=None):
+    """The 8-SM ``large_gpu`` preset run with ``observers`` installed."""
+    start_run_calls.clear()
+    scenario = generate_large_gpu_scenario(8, metrics=metrics)
+    system = GPUSystem.from_scenario(scenario)
+    system.install_observer(*observers)
+    system.run(
+        stop_after_min_iterations=scenario.resolved_min_iterations(),
+        max_events=scenario.resolved_max_events(),
+    )
+    return {
+        "start_run_calls": len(start_run_calls),
+        "events_processed": system.simulator.events_processed,
+        "completion_waves": sum(
+            sm.completion_waves_fired for sm in system.execution_engine.sms()
+        ),
+        "makespan_us": system.simulator.now,
+        "iteration_times_us": system.iteration_times_us(),
+    }

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from _builders import preempting_system
+from repro.sim.observers import CompositeObserver
 from repro.telemetry import TraceCollector
 from repro.telemetry import events as ev
 from repro.validation import make_hub
@@ -117,13 +118,18 @@ class TestAttachDetach:
         system = _preempting_system()
         hub = make_hub()
         hub.attach(system)
-        # The hub installs its checkers; the event-order checker takes the
-        # simulator's per-event hooks.
-        assert system.execution_engine.observer.observers == hub.checkers
-        assert system.simulator.observer is system.execution_engine.observer
+        # The hub installs its checkers; each component hears only the
+        # checkers of its own hooks, and no checker observes the simulator.
+        accounting, occupancy, preemption, dispatch, _metrics = hub.checkers
+        sm = system.execution_engine.sms()[0]
+        assert sm.observer.observers == [accounting, occupancy, preemption]
+        assert system.execution_engine.observer.observers == [accounting, preemption]
+        assert system.dispatcher.observer is dispatch
+        assert system.simulator.observer is None
+        assert system.cpu.observer is None
         hub.detach()
         assert system.execution_engine.observer is None
-        assert system.simulator.observer is None
+        assert sm.observer is None
         system.run(max_events=5_000_000)
         assert hub.ok  # no hooks fired, nothing recorded
 
@@ -151,12 +157,20 @@ class TestAttachDetach:
 class TestComposition:
     def test_validate_and_trace_compose(self):
         system = _preempting_system(validate=True, trace=True)
-        # Both observers share the component hooks through a composite.
-        observer = system.execution_engine.observer
-        from repro.sim.observers import CompositeObserver
-
-        assert isinstance(observer, CompositeObserver)
-        assert observer.observers == [*system.validation.checkers, system.telemetry]
+        # Where checkers and the collector share a component, a composite
+        # forwards to them in install order; the collector alone fills the
+        # components no checker hears.
+        collector = system.telemetry
+        accounting, occupancy, preemption, dispatch, _metrics = system.validation.checkers
+        sm = system.execution_engine.sms()[0]
+        assert isinstance(sm.observer, CompositeObserver)
+        assert sm.observer.observers == [accounting, occupancy, preemption, collector]
+        assert system.execution_engine.observer.observers == [
+            accounting, preemption, collector,
+        ]
+        assert system.dispatcher.observer.observers == [dispatch, collector]
+        assert system.cpu.observer is collector
+        assert system.simulator.observer is None
         system.run(max_events=5_000_000)
         assert system.violations() == []
         assert system.telemetry.num_events > 0

@@ -8,7 +8,6 @@ import pytest
 
 from repro.runner import execute_scenario
 from repro.scenario import ScenarioSpec, SchemeSpec
-from repro.sim.events import Event
 from repro.system import GPUSystem
 from repro.trace.generator import TraceGenerator
 from repro.validation import (
@@ -18,7 +17,7 @@ from repro.validation import (
     make_hub,
 )
 from repro.validation.checkers import (
-    EventOrderChecker,
+    DispatchChecker,
     MetricsChecker,
     OccupancyChecker,
     PreemptionChecker,
@@ -159,7 +158,7 @@ class TestHub:
             hub.attach(GPUSystem(policy="fcfs"))
 
     def test_raise_if_violations(self):
-        checker = EventOrderChecker()
+        checker = DispatchChecker()
         hub = ValidationHub([checker])
         hub.attach(GPUSystem(policy="fcfs"))
         assert hub.ok
@@ -189,7 +188,7 @@ class TestHub:
         assert system.validation.violations[0].invariant == "saved_restored_mismatch"
 
     def test_violations_sorted_and_serialisable(self):
-        checker = EventOrderChecker()
+        checker = DispatchChecker()
         hub = ValidationHub([checker])
         hub.attach(GPUSystem(policy="fcfs"))
         checker.record("late", "second", time_us=5.0)
@@ -241,18 +240,6 @@ class TestCorruptedCheckers:
 
 
 class TestIndividualCheckers:
-    def test_event_order_checker_detects_past_events(self):
-        checker = EventOrderChecker()
-        event = Event(1.0, 0, 0, lambda: None, label="t1")
-        checker.on_event_scheduled(event, now=5.0)
-        checker.on_event_fired(event, previous_now=5.0)
-        later = Event(0.5, 0, 1, lambda: None, label="t0.5")
-        checker.on_event_fired(later, previous_now=0.0)
-        invariants = [v.invariant for v in checker.violations]
-        assert "scheduled_in_the_past" in invariants
-        assert "fired_in_the_past" in invariants
-        assert "time_not_monotone" in invariants
-
     def test_preemption_checker_detects_unbalanced_state(self):
         checker = PreemptionChecker()
         checker.saved_bytes = 4096  # pretend state was saved but never restored
